@@ -6,114 +6,18 @@ and bad service become losing strategies while newcomers can still earn
 their way in by volunteering.
 """
 
-from .engine import (
-    Behavior,
-    ConfigError,
-    Gate,
-    Injection,
-    MetricsRow,
-    MetricsSeries,
-    Outcome,
-    Peer,
-    Population,
-    RoundRecord,
-    SchemaError,
-    SimConfig,
-    Simulation,
-    build_population,
-    calibrated_reach,
-    run_simulation,
-    select_server,
-)
-from .game import (
-    EliminationResult,
-    GameMatrix,
-    GameParams,
-    MixedSelection,
-    Payoffs,
-    Response,
-    Selection,
-    eliminate_dominated,
-    escape_probability,
-    expected_liar_payoff,
-    liar_round_payoff,
-    liar_trajectory,
-    lying_is_dominated,
-    payoff_matrix,
-    penalty_bound_descending,
-    penalty_bound_dominance,
-    recommend_threshold,
-    recommended_penalty,
-    truthful_trajectory,
-)
-from .ledger import (
-    EventKind,
-    LedgerConfig,
-    TrustEvent,
-    TrustLedger,
-    UnknownPeerError,
-)
-from .oracle import (
-    McResult,
-    combine,
-    enumerate_escape_probability,
-    mc_escape_frequency,
-    mc_liar_payoff,
-    within_sigmas,
-)
-from .rng import Stream, derive_seed
+from .engine import Behavior, Injection, SimConfig, run_simulation
+from .game import penalty_bound_descending, recommend_threshold, recommended_penalty
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Behavior",
-    "ConfigError",
-    "EliminationResult",
-    "EventKind",
-    "Gate",
-    "GameMatrix",
-    "GameParams",
     "Injection",
-    "LedgerConfig",
-    "McResult",
-    "MetricsRow",
-    "MetricsSeries",
-    "MixedSelection",
-    "Outcome",
-    "Payoffs",
-    "Peer",
-    "Population",
-    "Response",
-    "RoundRecord",
-    "SchemaError",
-    "Selection",
     "SimConfig",
-    "Simulation",
-    "Stream",
-    "TrustEvent",
-    "TrustLedger",
-    "UnknownPeerError",
-    "build_population",
-    "calibrated_reach",
-    "combine",
-    "derive_seed",
-    "eliminate_dominated",
-    "enumerate_escape_probability",
-    "escape_probability",
-    "expected_liar_payoff",
-    "liar_round_payoff",
-    "liar_trajectory",
-    "lying_is_dominated",
-    "mc_escape_frequency",
-    "mc_liar_payoff",
-    "payoff_matrix",
     "penalty_bound_descending",
-    "penalty_bound_dominance",
     "recommend_threshold",
     "recommended_penalty",
     "run_simulation",
-    "select_server",
-    "truthful_trajectory",
-    "within_sigmas",
     "__version__",
 ]

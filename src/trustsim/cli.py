@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
+import math
+import os
 import sys
 
 from . import game, oracle
 from .chart import write_chart
-from .engine import ConfigError, SchemaError, Simulation
+from .engine import Simulation
 from .ledger import EventCsvSink
 from .runconfig import config_keys, load_run_config
 
@@ -34,13 +37,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError and SchemaError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
@@ -58,13 +55,13 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="calibration report for (n, j, p)")
     analyze.add_argument("--n", type=int, required=True)
     analyze.add_argument("--j", type=int, required=True)
-    analyze.add_argument("--p", type=float, required=True)
-    analyze.add_argument("--epsilon", type=float, default=0.01,
+    analyze.add_argument("--p", type=_real, required=True)
+    analyze.add_argument("--epsilon", type=_real, default=0.01,
                          help="tolerated liar escape probability (default 0.01)")
-    analyze.add_argument("--margin", type=float, default=0.1,
+    analyze.add_argument("--margin", type=_real, default=0.1,
                          help="safety margin over the penalty bound (default 0.1)")
-    analyze.add_argument("--reward", type=float, default=10.0)
-    analyze.add_argument("--cost", type=float, default=1.0)
+    analyze.add_argument("--reward", type=_real, default=10.0)
+    analyze.add_argument("--cost", type=_real, default=1.0)
     analyze.set_defaults(handler=_cmd_analyze)
 
     simulate = sub.add_parser("simulate", help="run a simulation config file")
@@ -80,20 +77,20 @@ def _build_parser() -> argparse.ArgumentParser:
     orc = sub.add_parser("oracle", help="Monte-Carlo validation of the closed forms")
     orc_sub = orc.add_subparsers(dest="oracle_command", required=True)
     liar = orc_sub.add_parser("liar-payoff", help="per-round liar payoff estimate")
-    liar.add_argument("--p", type=float, required=True)
-    liar.add_argument("--penalty", type=float, required=True)
+    liar.add_argument("--p", type=_real, required=True)
+    liar.add_argument("--penalty", type=_real, required=True)
     liar.add_argument("--j", type=int, required=True)
     liar.add_argument("--trials", type=_count, default=1_000_000)
     liar.add_argument("--seed", type=int, default=0)
-    liar.add_argument("--sigmas", type=float, default=4.0)
+    liar.add_argument("--sigmas", type=_real, default=4.0)
     liar.set_defaults(handler=_cmd_oracle_liar)
     escape = orc_sub.add_parser("escape", help="liar escape frequency estimate")
     escape.add_argument("--j", type=int, required=True)
-    escape.add_argument("--p", type=float, required=True)
+    escape.add_argument("--p", type=_real, required=True)
     escape.add_argument("--streak", type=int, required=True)
     escape.add_argument("--trials", type=_count, default=100_000)
     escape.add_argument("--seed", type=int, default=0)
-    escape.add_argument("--sigmas", type=float, default=4.0)
+    escape.add_argument("--sigmas", type=_real, default=4.0)
     escape.set_defaults(handler=_cmd_oracle_escape)
 
     plot = sub.add_parser("plot", help="render a metrics CSV as an SVG line chart")
@@ -103,8 +100,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _real(text: str) -> float:
+    """A finite float; argparse names the option when this rejects it."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _count(text: str) -> int:
-    return int(float(text))  # accepts 1e6
+    return int(_real(text))  # accepts 1e6
 
 
 def _cmd_analyze(args) -> int:
@@ -167,25 +175,23 @@ def _cmd_simulate(args) -> int:
     else:
         seeds = [run.sim.rng_seed]
 
-    for seed in seeds:
+    def output(path: str | None, seed: int) -> str | None:
+        return path if path is None or args.seeds is None else _with_seed_suffix(path, seed)
+
+    runs = [(seed, output(run.metrics_csv, seed), output(run.trace_csv, seed)) for seed in seeds]
+    # A bad output path fails here, before the first cycle, not after the runs.
+    for path in {path for _, *paths in runs for path in paths if path is not None}:
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise FileNotFoundError(errno.ENOENT, "no such output directory", directory)
+
+    for seed, metrics_path, trace_path in runs:
         sim_config = dataclasses.replace(run.sim, rng_seed=seed)
-        metrics_path = (
-            run.metrics_csv
-            if args.seeds is None
-            else _with_seed_suffix(run.metrics_csv, seed)
-        )
-        if run.trace_csv is not None:
-            trace_path = (
-                run.trace_csv
-                if args.seeds is None
-                else _with_seed_suffix(run.trace_csv, seed)
-            )
+        if trace_path is not None:
             with open(trace_path, "w", newline="") as trace_fh:
-                sim = Simulation(sim_config, event_sink=EventCsvSink(trace_fh))
-                series = sim.run()
+                series = Simulation(sim_config, event_sink=EventCsvSink(trace_fh)).run()
         else:
-            sim = Simulation(sim_config)
-            series = sim.run()
+            series = Simulation(sim_config).run()
         series.write_csv(metrics_path)
         last = series.rows[-1]
         print(
@@ -203,10 +209,12 @@ def _fmt(value: float | None) -> str:
 
 
 def _with_seed_suffix(path: str, seed: int) -> str:
-    stem, dot, ext = path.rpartition(".")
-    if not dot:
-        return f"{path}.seed{seed}"
-    return f"{stem}.seed{seed}.{ext}"
+    """``out/metrics.csv`` -> ``out/metrics.seed1.csv``; only the file name
+    changes, never the directory."""
+    directory, name = os.path.split(path)
+    stem, _, ext = name.rpartition(".")
+    name = f"{stem}.seed{seed}.{ext}" if stem else f"{name}.seed{seed}"
+    return os.path.join(directory, name)
 
 
 def _cmd_oracle_liar(args) -> int:

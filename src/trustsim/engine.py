@@ -87,14 +87,6 @@ class Outcome(Enum):
 
 
 @dataclass(frozen=True)
-class Peer:
-    peer_id: int
-    behavior: Behavior
-    holdings: frozenset[int]
-    join_cycle: int
-
-
-@dataclass(frozen=True)
 class Injection:
     """Scheduled newcomer arrivals: ``count`` peers of one behavior at the
     start of ``cycle``."""
@@ -120,9 +112,6 @@ class SimConfig:
     queries_per_cycle: int | None = None  # default: founder population // 10
     reach: int | None = None  # default: calibrated for ~30 expected volunteers
     newcomers: tuple[Injection, ...] = ()
-    acquire_files: bool = False
-    reward: float = 10.0
-    cost: float = 1.0
 
     @property
     def founder_population(self) -> int:
@@ -146,6 +135,9 @@ class SimConfig:
             raise ConfigError(
                 "n", "peers would hold the entire catalog; nothing left to request"
             )
+        for key in ("p", "penalty", "threshold", "floor"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(key, "must be a finite number")
         if not 0.0 <= self.p <= 1.0:
             raise ConfigError("p", "must be within [0, 1]")
         if self.penalty <= 0.0:
@@ -154,10 +146,6 @@ class SimConfig:
             raise ConfigError("threshold", "must be >= floor")
         if self.total_cycles < 1:
             raise ConfigError("total_cycles", "must be >= 1")
-        if self.cost <= 0.0:
-            raise ConfigError("cost", "must be > 0")
-        if self.reward <= self.cost:
-            raise ConfigError("reward", "must exceed cost")
         for injection in self.newcomers:
             if injection.cycle < 0:
                 raise ConfigError("newcomers", "cycle must be >= 0")
@@ -224,7 +212,6 @@ class RoundRecord:
     mode: Selection | None
     selected_id: int | None
     outcome: Outcome | None
-    requester_utility: float | None
     penalty_delta: float
 
 
@@ -236,7 +223,6 @@ class Population:
         self.holdings_size = holdings_size(config.catalog_size, config.n)
         self.behaviors: list[Behavior] = []
         self.holdings: list[frozenset[int]] = []
-        self.join_cycle: list[int] = []
         self.joined: list[int] = []
         self.liar_pool: list[int] = []
         self.liar_index: dict[int, int] = {}
@@ -254,17 +240,7 @@ class Population:
     def liar_count(self) -> int:
         return len(self.liar_pool)
 
-    def peer(self, peer_id: int) -> Peer:
-        return Peer(
-            peer_id,
-            self.behaviors[peer_id],
-            self.holdings[peer_id],
-            self.join_cycle[peer_id],
-        )
-
-    def add_peer(
-        self, behavior: Behavior, cycle: int, seed: int, founder: bool
-    ) -> int:
+    def add_peer(self, behavior: Behavior, seed: int, founder: bool) -> int:
         peer_id = len(self.behaviors)
         stream = Stream.from_path(seed, "holdings", peer_id)
         catalog = self.config.catalog_size
@@ -273,7 +249,6 @@ class Population:
             files.add(stream.randbelow(catalog))
         self.behaviors.append(behavior)
         self.holdings.append(frozenset(files))
-        self.join_cycle.append(cycle)
         self.joined.append(peer_id)
         if behavior.truthful:
             for file_id in files:
@@ -291,16 +266,6 @@ class Population:
             self.newcomer_good_ids.append(peer_id)
         return peer_id
 
-    def acquire(self, peer_id: int, file_id: int) -> None:
-        """Add a transferred file to a peer's holdings (never the last
-        missing one, so every peer always has something left to request)."""
-        holdings = self.holdings[peer_id]
-        if len(holdings) + 1 >= self.config.catalog_size or file_id in holdings:
-            return
-        self.holdings[peer_id] = holdings | {file_id}
-        if self.behaviors[peer_id].truthful:
-            self.holders_by_file[file_id].append(peer_id)
-
 
 def build_population(config: SimConfig, seed: int | None = None) -> Population:
     """Founders with uniformly random holdings; deterministic in the seed."""
@@ -313,7 +278,7 @@ def build_population(config: SimConfig, seed: int | None = None) -> Population:
         (Behavior.LIAR, config.liar_founders),
     ):
         for _ in range(count):
-            population.add_peer(behavior, 0, seed, founder=True)
+            population.add_peer(behavior, seed, founder=True)
     return population
 
 
@@ -328,7 +293,7 @@ def select_server(
     if not volunteers:
         raise ValueError("empty volunteer set")
     if stream.random() < p:
-        scores = ledger._scores
+        scores = ledger.scores
         best = -math.inf
         ties: list[int] = []
         for pid in volunteers:
@@ -448,7 +413,7 @@ class Simulation:
         config = self.config
         seed = config.rng_seed
         joined = self.population.joined
-        successes = failures = penalties = 0
+        successes = failures = 0
         for _ in range(config.queries_per_cycle):
             stream = Stream.from_path(seed, "round", self.round_index)
             requester = joined[stream.randbelow(len(joined))]
@@ -457,14 +422,13 @@ class Simulation:
                 successes += 1
             elif record.outcome is Outcome.FAILURE:
                 failures += 1
-                penalties += 1
-        return self._metrics_row(cycle, successes, failures, penalties)
+        return self._metrics_row(cycle, successes, failures)
 
     def run_round(self, requester_id: int, stream: Stream | None = None) -> RoundRecord:
         config = self.config
         population = self.population
         ledger = self.ledger
-        scores = ledger._scores
+        scores = ledger.scores
         if requester_id not in scores:
             raise UnknownPeerError(requester_id)
         if stream is None:
@@ -483,14 +447,14 @@ class Simulation:
         if not volunteers:
             return RoundRecord(
                 round_index, requester_id, file_id, (), Gate.NO_VOLUNTEERS,
-                None, None, None, None, 0.0,
+                None, None, None, 0.0,
             )
 
         if scores[requester_id] < config.threshold:
             ledger.credit_many(volunteers, round_index, EventKind.VOLUNTEER_CREDIT)
             return RoundRecord(
                 round_index, requester_id, file_id, tuple(volunteers),
-                Gate.REPUTATION_ONLY, None, None, None, None, 0.0,
+                Gate.REPUTATION_ONLY, None, None, None, 0.0,
             )
 
         selected, mode = select_server(volunteers, ledger, config.p, stream)
@@ -501,11 +465,9 @@ class Simulation:
                 round_index,
                 EventKind.VOLUNTEER_CREDIT,
             )
-            if config.acquire_files:
-                population.acquire(requester_id, file_id)
             return RoundRecord(
                 round_index, requester_id, file_id, tuple(volunteers), Gate.SERVED,
-                mode, selected, Outcome.SUCCESS, config.reward - config.cost, 0.0,
+                mode, selected, Outcome.SUCCESS, 0.0,
             )
         before = scores[selected]
         after = ledger.penalize(selected, round_index)
@@ -516,7 +478,7 @@ class Simulation:
         )
         return RoundRecord(
             round_index, requester_id, file_id, tuple(volunteers), Gate.SERVED,
-            mode, selected, Outcome.FAILURE, -config.cost, after - before,
+            mode, selected, Outcome.FAILURE, after - before,
         )
 
     def _inject(self, cycle: int) -> None:
@@ -525,17 +487,15 @@ class Simulation:
             injection = self._pending.pop(0)
             for _ in range(injection.count):
                 peer_id = self.population.add_peer(
-                    injection.behavior, cycle, self.config.rng_seed, founder=False
+                    injection.behavior, self.config.rng_seed, founder=False
                 )
                 self.ledger.register(peer_id)
             injected = True
         if injected:
             self._sampler.refresh()
 
-    def _metrics_row(
-        self, cycle: int, successes: int, failures: int, penalties: int
-    ) -> "MetricsRow":
-        scores = self.ledger._scores
+    def _metrics_row(self, cycle: int, successes: int, failures: int) -> "MetricsRow":
+        scores = self.ledger.scores
 
         def average(ids: list[int]) -> float | None:
             if not ids:
@@ -551,7 +511,7 @@ class Simulation:
             avg_trust_liar=average(population.liar_founder_ids),
             avg_trust_newcomer_good=average(population.newcomer_good_ids),
             success_rate=successes / transactions if transactions else None,
-            penalties=penalties,
+            penalties=failures,  # every failure penalizes its server
         )
 
 

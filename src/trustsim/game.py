@@ -36,21 +36,6 @@ class Response(Enum):
 
 
 @dataclass(frozen=True)
-class MixedSelection:
-    """Requester mixture: BY_TRUST with weight ``by_trust_weight``, else RANDOM."""
-
-    by_trust_weight: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.by_trust_weight <= 1.0:
-            raise ValueError("by_trust_weight must be within [0, 1]")
-
-    @property
-    def random_weight(self) -> float:
-        return 1.0 - self.by_trust_weight
-
-
-@dataclass(frozen=True)
 class GameParams:
     """Mechanism constants.
 

@@ -3,8 +3,8 @@
 Trust is a raw cumulative sum of events: volunteering earns +1, a failed
 delivery by a selected volunteer costs the configured penalty, and no
 score ever falls below the floor (rejoining under a fresh identity starts
-at the floor, so whitewashing gains nothing).  The service gate is an
-inclusive comparison against the threshold.
+at the floor, so whitewashing gains nothing).  The service threshold the
+engine gates requesters on is carried in the config.
 
 A ledger instance is single-writer; concurrent readers are fine between
 writes.  The simulation engine owns one ledger and serializes mutations.
@@ -13,6 +13,7 @@ writes.  The simulation engine owns one ledger and serializes mutations.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
@@ -55,6 +56,9 @@ class LedgerConfig:
     floor: float = 0.0
 
     def __post_init__(self):
+        for name in ("penalty", "threshold", "floor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number")
         if self.penalty <= 0.0:
             raise ValueError("penalty must be > 0")
         if self.threshold < self.floor:
@@ -62,44 +66,37 @@ class LedgerConfig:
 
 
 class TrustLedger:
-    """Single-writer trust scores with an optional event record.
+    """Single-writer trust scores.
 
-    ``keep_events`` retains every event in memory for replay checks;
-    ``event_sink`` streams each event to a callable (used for round-level
-    trace export) without retaining it.
+    ``scores`` maps each registered peer to its trust; only the ledger
+    writes it, everyone else reads it.  ``event_sink``, if given, receives
+    every applied change: ``list.append`` keeps them for replay checks,
+    ``EventCsvSink`` streams them to a trace file.
     """
 
     def __init__(
         self,
         config: LedgerConfig,
-        keep_events: bool = False,
         event_sink: Callable[[TrustEvent], None] | None = None,
     ):
         self.config = config
-        self._scores: dict[int, float] = {}
-        self._events: list[TrustEvent] | None = [] if keep_events else None
+        self.scores: dict[int, float] = {}
         self._event_sink = event_sink
 
     def register(self, peer_id: int, trust: float | None = None) -> None:
         """Add a peer; newcomers start at the floor."""
-        if peer_id in self._scores:
+        if peer_id in self.scores:
             raise ValueError(f"peer {peer_id!r} already registered")
         value = self.config.floor if trust is None else trust
         if value < self.config.floor:
             raise ValueError("initial trust below floor")
-        self._scores[peer_id] = value
+        self.scores[peer_id] = value
 
     def trust(self, peer_id: int) -> float:
         try:
-            return self._scores[peer_id]
+            return self.scores[peer_id]
         except KeyError:
             raise UnknownPeerError(peer_id) from None
-
-    def peer_ids(self) -> tuple[int, ...]:
-        return tuple(self._scores)
-
-    def snapshot(self) -> dict[int, float]:
-        return dict(self._scores)
 
     def credit(
         self,
@@ -110,14 +107,14 @@ class TrustLedger:
         """Apply a +1 credit; returns the updated trust."""
         if kind is EventKind.PENALTY:
             raise ValueError("credit cannot record a PENALTY event")
-        scores = self._scores
+        scores = self.scores
         try:
             new_value = scores[peer_id] + 1.0
         except KeyError:
             raise UnknownPeerError(peer_id) from None
         scores[peer_id] = new_value
-        if self._events is not None or self._event_sink is not None:
-            self._record(TrustEvent(round_index, peer_id, kind, 1.0, new_value))
+        if self._event_sink is not None:
+            self._event_sink(TrustEvent(round_index, peer_id, kind, 1.0, new_value))
         return new_value
 
     def credit_many(
@@ -129,8 +126,9 @@ class TrustLedger:
         """Bulk +1 credits (the engine's hot path)."""
         if kind is EventKind.PENALTY:
             raise ValueError("credit cannot record a PENALTY event")
-        scores = self._scores
-        if self._events is None and self._event_sink is None:
+        scores = self.scores
+        sink = self._event_sink
+        if sink is None:
             try:
                 for pid in peer_ids:
                     scores[pid] = scores[pid] + 1.0
@@ -143,11 +141,11 @@ class TrustLedger:
             except KeyError:
                 raise UnknownPeerError(pid) from None
             scores[pid] = new_value
-            self._record(TrustEvent(round_index, pid, kind, 1.0, new_value))
+            sink(TrustEvent(round_index, pid, kind, 1.0, new_value))
 
     def penalize(self, peer_id: int, round_index: int = 0) -> float:
         """Apply the penalty, clamped at the floor; returns the updated trust."""
-        scores = self._scores
+        scores = self.scores
         try:
             old = scores[peer_id]
         except KeyError:
@@ -157,8 +155,8 @@ class TrustLedger:
         if new_value < floor:
             new_value = floor
         scores[peer_id] = new_value
-        if self._events is not None or self._event_sink is not None:
-            self._record(
+        if self._event_sink is not None:
+            self._event_sink(
                 TrustEvent(
                     round_index,
                     peer_id,
@@ -169,20 +167,6 @@ class TrustLedger:
                 )
             )
         return new_value
-
-    def passes_threshold(self, peer_id: int) -> bool:
-        """Inclusive service gate: trust >= threshold."""
-        return self.trust(peer_id) >= self.config.threshold
-
-    @property
-    def events(self) -> tuple[TrustEvent, ...]:
-        if self._events is None:
-            raise ValueError("ledger was created without keep_events")
-        return tuple(self._events)
-
-    def write_event_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            write_events(fh, self.events)
 
     @staticmethod
     def replay(
@@ -202,31 +186,10 @@ class TrustLedger:
                 scores[event.peer_id] += 1.0
         return scores
 
-    def _record(self, event: TrustEvent) -> None:
-        if self._events is not None:
-            self._events.append(event)
-        if self._event_sink is not None:
-            self._event_sink(event)
-
-
-def write_events(fh, events: Iterable[TrustEvent]) -> None:
-    """Write events as CSV: round,peer_id,kind,delta,new_value."""
-    writer = csv.writer(fh)
-    writer.writerow(EVENT_CSV_HEADER.split(","))
-    for event in events:
-        writer.writerow(
-            [
-                event.round_index,
-                event.peer_id,
-                event.kind.value,
-                f"{event.delta:.6f}",
-                f"{event.new_value:.6f}",
-            ]
-        )
-
 
 class EventCsvSink:
-    """Streams trust events straight to a CSV file as they happen."""
+    """Streams trust events straight to a CSV file as they happen:
+    ``round,peer_id,kind,delta,new_value``."""
 
     def __init__(self, fh):
         self._writer = csv.writer(fh)

@@ -83,9 +83,6 @@ class Stream:
             raise ValueError("randbelow requires n >= 1")
         return (self.next_u64() * n) >> 64
 
-    def choice(self, seq):
-        return seq[self.randbelow(len(seq))]
-
 
 def hypergeom_cdf(total: int, tagged: int, draws: int) -> tuple[int, list[float]]:
     """CDF of the number of tagged items in a uniform ``draws``-sized sample.

@@ -12,15 +12,6 @@ from dataclasses import dataclass
 from .engine import ConfigError, SimConfig, parse_injections
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
 _SIM_KEYS = {
     "good_founders": int,
     "bad_founders": int,
@@ -36,9 +27,6 @@ _SIM_KEYS = {
     "total_cycles": int,
     "rng_seed": int,
     "newcomers": parse_injections,
-    "acquire_files": _parse_bool,
-    "reward": float,
-    "cost": float,
 }
 _PATH_KEYS = ("metrics_csv", "trace_csv")
 _REQUIRED = (

@@ -10,6 +10,7 @@ query), 620 queries per cycle, 1,000 cycles, and 100 good newcomers
 injected at cycle 300.
 """
 
+import hashlib
 import random
 import re
 import time
@@ -57,6 +58,18 @@ DESK = dict(
 )
 NEWCOMER_CYCLE = 300
 RUNTIME_BUDGET_S = 60.0
+
+# Pinned outputs: sha256 of the desk seed-1 metrics CSV, and of the trace
+# CSV of TRACE_RUN (all three event kinds, reputation-only rounds, clamped
+# penalties, good and liar newcomers).  Changing either must be a declared
+# bug fix.
+DESK_SEED1_SHA256 = "c5eb0cd41168a714be3bd3875cd19d5cd61ddb2b25af197699ee590fae8aa4fb"
+TRACE_RUN = dict(
+    good_founders=40, bad_founders=10, liar_founders=10, catalog_size=100,
+    n=10, p=0.8, penalty=9.0, threshold=3.0, reach=12, queries_per_cycle=6,
+    total_cycles=30, newcomers="10:5:good,15:3:liar", rng_seed=7,
+)
+TRACE_SHA256 = "80a28207ad5f5d0d91f7a58bbfed18f854f316cca1e66e28461639162ee380ea"
 
 
 @contextmanager
@@ -239,11 +252,20 @@ def test_criterion_7_absolute_levels_declared_unreproduced(desk):
         assert desk["series_a"].rows  # the substitute shape checks did run
 
 
-def test_criterion_8_determinism(desk):
-    with criterion("8 same seed byte-identical; second seed passes the shape checks"):
+def test_criterion_8_determinism(desk, tmp_path):
+    with criterion("8 same seed byte-identical and pinned; second seed passes the shape checks"):
+        assert hashlib.sha256(desk["bytes_a"]).hexdigest() == DESK_SEED1_SHA256
         assert desk["bytes_a"] == desk["bytes_a2"]
         assert desk["bytes_b"] != desk["bytes_a"]
         _assert_desk_shape(desk["series_b"])
+
+        config = tmp_path / "trace.cfg"
+        trace = tmp_path / "trace.csv"
+        lines = [f"{key} = {value}" for key, value in TRACE_RUN.items()]
+        lines += [f"metrics_csv = {tmp_path / 'metrics.csv'}", f"trace_csv = {trace}"]
+        config.write_text("\n".join(lines) + "\n")
+        assert cli_main(["simulate", str(config)]) == 0
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == TRACE_SHA256
 
 
 def test_criterion_9_ledger_invariants_randomized():
@@ -258,7 +280,7 @@ def test_criterion_9_ledger_invariants_randomized():
         sim = Simulation(config, event_sink=events.append)
         rng = random.Random(515)
         floor = config.floor
-        scores = sim.ledger._scores
+        scores = sim.ledger.scores
         for _ in range(10_000):
             requester = rng.choice(sim.population.joined)
             before = len(events)

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from trustsim.chart import SVG_NS
-from trustsim.cli import main
+from trustsim.cli import _with_seed_suffix, main
 from trustsim.game import (
     expected_liar_payoff,
     penalty_bound_descending,
@@ -120,6 +120,30 @@ def test_simulate_unwritable_output_is_io_error(tmp_path):
     assert run_cli("simulate", str(path)) == 3
 
 
+def test_simulate_checks_every_output_path_before_running(tmp_path):
+    missing = tmp_path / "no-such-dir"
+    path, _ = write_config(tmp_path, metrics_csv=str(missing / "m.csv"),
+                           trace_csv=str(tmp_path / "trace.csv"))
+    assert run_cli("simulate", str(path)) == 3
+    assert not (tmp_path / "trace.csv").exists()  # failed before the first cycle
+    # With a seed list, the last seed's trace path is checked before seed 1 runs.
+    path, _ = write_config(tmp_path, trace_csv=str(missing / "trace.csv"))
+    assert run_cli("simulate", str(path), "--seeds", "1,2") == 3
+    assert not list(tmp_path.glob("metrics*.seed*"))
+
+
+@pytest.mark.parametrize("path, seed, expected", [
+    ("metrics.csv", 1, "metrics.seed1.csv"),
+    ("metrics", 1, "metrics.seed1"),
+    ("out.d/metrics", 1, "out.d/metrics.seed1"),
+    ("./metrics", 2, "./metrics.seed2"),
+    ("out.d/m.tar.gz", 3, "out.d/m.tar.seed3.gz"),
+    (".hidden", 4, ".hidden.seed4"),
+])
+def test_seed_suffix_goes_on_the_file_name(path, seed, expected):
+    assert _with_seed_suffix(path, seed) == expected
+
+
 def test_simulate_seed_list_writes_one_csv_per_seed(tmp_path, capsys):
     path, _ = write_config(tmp_path)
     assert run_cli("simulate", str(path), "--seeds", "1,2") == 0
@@ -140,6 +164,34 @@ def test_simulate_trace_export(tmp_path):
     lines = (tmp_path / "trace.csv").read_text().splitlines()
     assert lines[0] == "round,peer_id,kind,delta,new_value"
     assert len(lines) > 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key, argv", [
+    *((key, ("simulate",)) for key in ("p", "penalty", "threshold", "floor")),
+    *(
+        (flag, ("analyze", "--n", "100", "--j", "30", "--p", "0.9"))
+        for flag in ("--p", "--epsilon", "--margin", "--reward", "--cost")
+    ),
+    *(
+        (flag, ("oracle", "liar-payoff", "--p", "0.9", "--penalty", "329", "--j", "30"))
+        for flag in ("--p", "--penalty", "--sigmas", "--trials")
+    ),
+    *(
+        (flag, ("oracle", "escape", "--j", "30", "--p", "0.9", "--streak", "5"))
+        for flag in ("--p", "--sigmas", "--trials")
+    ),
+])
+def test_non_finite_reals_rejected_naming_the_key(key, argv, value, tmp_path, capsys):
+    if key.startswith("--"):
+        argv = [*argv, f"{key}={value}"]  # the last occurrence wins
+        named = f"argument {key}: expected a finite number"
+    else:
+        config, _ = write_config(tmp_path, **{key: value})
+        argv = [*argv, str(config)]
+        named = f"error: {key}: must be a finite number"
+    assert run_cli(*argv) == 2
+    assert named in capsys.readouterr().err
 
 
 # --- oracle ---

@@ -5,7 +5,6 @@ import pytest
 from trustsim.game import (
     GameMatrix,
     GameParams,
-    MixedSelection,
     Payoffs,
     Response,
     Selection,
@@ -206,13 +205,6 @@ def test_game_params_validation():
         make_params(n=0)
     with pytest.raises(ValueError):
         make_params(j=0)
-
-
-def test_mixed_selection_weights():
-    mix = MixedSelection(0.9)
-    assert mix.random_weight == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        MixedSelection(1.2)
 
 
 # --- properties ---

@@ -1,4 +1,5 @@
 import io
+import math
 import random
 
 import pytest
@@ -9,7 +10,6 @@ from trustsim.ledger import (
     LedgerConfig,
     TrustLedger,
     UnknownPeerError,
-    write_events,
 )
 
 
@@ -22,6 +22,12 @@ def test_config_validation():
         LedgerConfig(penalty=0.0, threshold=1.0)
     with pytest.raises(ValueError):
         LedgerConfig(penalty=1.0, threshold=-1.0, floor=0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for key in ("penalty", "threshold", "floor"):
+            values = dict(penalty=1.0, threshold=1.0, floor=0.0)
+            values[key] = bad
+            with pytest.raises(ValueError, match=key):
+                LedgerConfig(**values)
 
 
 def test_credit_increments_by_one():
@@ -43,16 +49,6 @@ def test_penalize_clamps_at_floor():
     assert ledger.penalize(2) == 51.0
     ledger.register(3)  # at the floor already
     assert ledger.penalize(3) == 0.0
-
-
-def test_passes_threshold_is_inclusive():
-    ledger = make_ledger(threshold=50.0)
-    ledger.register(1, trust=50.0)
-    ledger.register(2, trust=0.0)
-    ledger.register(3, trust=90.0)
-    assert ledger.passes_threshold(1)
-    assert not ledger.passes_threshold(2)
-    assert ledger.passes_threshold(3)
 
 
 def test_unknown_peer_errors():
@@ -116,7 +112,8 @@ def test_never_penalized_peer_is_monotone():
 
 
 def test_replay_reproduces_live_scores():
-    ledger = make_ledger(penalty=9.0, threshold=2.0, keep_events=True)
+    events = []
+    ledger = make_ledger(penalty=9.0, threshold=2.0, event_sink=events.append)
     peers = list(range(12))
     for pid in peers:
         ledger.register(pid)
@@ -127,8 +124,8 @@ def test_replay_reproduces_live_scores():
             ledger.penalize(pid, round_index)
         else:
             ledger.credit(pid, round_index)
-    replayed = TrustLedger.replay(ledger.events, ledger.config, peers)
-    assert replayed == ledger.snapshot()
+    replayed = TrustLedger.replay(events, ledger.config, peers)
+    assert replayed == ledger.scores
 
 
 def test_credits_commute():
@@ -141,7 +138,7 @@ def test_credits_commute():
             ledger.register(pid)
         for pid in order:
             ledger.credit(pid)
-        return ledger.snapshot()
+        return ledger.scores
 
     shuffled = credits[:]
     rng.shuffle(shuffled)
@@ -149,44 +146,30 @@ def test_credits_commute():
 
 
 def test_event_csv_format():
-    ledger = make_ledger(penalty=299.0, threshold=0.0, keep_events=True)
+    buffer = io.StringIO()
+    ledger = make_ledger(penalty=299.0, threshold=0.0, event_sink=EventCsvSink(buffer))
     ledger.register(7, trust=5.0)
+    ledger.register(8)
     ledger.credit(7, round_index=0)
     ledger.credit(7, round_index=1, kind=EventKind.SELECTED_TRUTHFUL_CREDIT)
-    ledger.penalize(7, round_index=2)
-    buffer = io.StringIO()
-    write_events(buffer, ledger.events)
-    lines = buffer.getvalue().splitlines()
-    assert lines[0] == "round,peer_id,kind,delta,new_value"
-    assert lines[1] == "0,7,volunteer_credit,1.000000,6.000000"
-    assert lines[2] == "1,7,selected_truthful_credit,1.000000,7.000000"
-    assert lines[3] == "2,7,penalty,-7.000000,0.000000"
-
-
-def test_event_sink_streams_same_rows():
-    buffer = io.StringIO()
-    ledger = make_ledger(penalty=3.0, threshold=0.0, keep_events=True,
-                         event_sink=EventCsvSink(buffer))
-    ledger.register(1)
-    ledger.credit(1, 0)
-    ledger.credit_many([1, 1], 1)
-    ledger.penalize(1, 2)
-    reference = io.StringIO()
-    write_events(reference, ledger.events)
-    assert buffer.getvalue() == reference.getvalue()
-
-
-def test_events_unavailable_without_keep():
-    ledger = make_ledger()
-    with pytest.raises(ValueError):
-        _ = ledger.events
+    ledger.credit_many([8, 7], round_index=2)
+    ledger.penalize(7, round_index=3)
+    assert buffer.getvalue().splitlines() == [
+        "round,peer_id,kind,delta,new_value",
+        "0,7,volunteer_credit,1.000000,6.000000",
+        "1,7,selected_truthful_credit,1.000000,7.000000",
+        "2,8,volunteer_credit,1.000000,1.000000",
+        "2,7,volunteer_credit,1.000000,8.000000",
+        "3,7,penalty,-8.000000,0.000000",
+    ]
 
 
 def test_penalty_event_carries_penalty_in_force():
-    ledger = make_ledger(penalty=13.0, threshold=0.0, keep_events=True)
+    events = []
+    ledger = make_ledger(penalty=13.0, threshold=0.0, event_sink=events.append)
     ledger.register(1, trust=4.0)
     ledger.penalize(1, 0)
-    event = ledger.events[-1]
+    event = events[-1]
     assert event.kind is EventKind.PENALTY
     assert event.penalty == 13.0
     assert event.delta == -4.0  # clamped at the floor

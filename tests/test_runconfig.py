@@ -32,14 +32,13 @@ def test_parse_happy_path():
 def test_optional_keys_parse():
     run = parse_run_config(
         BASE
-        + "newcomers = 2:3:good,4:1:liar\nacquire_files = yes\n"
+        + "newcomers = 2:3:good,4:1:liar\n"
         + "trace_csv = out/trace.csv\nfloor = 0\nreach = 6\nqueries_per_cycle = 9\n"
     )
     assert run.sim.newcomers == (
         Injection(2, 3, Behavior.GOOD_SERVER),
         Injection(4, 1, Behavior.LIAR),
     )
-    assert run.sim.acquire_files is True
     assert run.sim.reach == 6
     assert run.sim.queries_per_cycle == 9
     assert run.trace_csv == "out/trace.csv"
@@ -69,8 +68,8 @@ def test_bad_value_names_key():
         parse_run_config(BASE.replace("p = 0.9", "p = fast"))
     assert err.value.key == "p"
     with pytest.raises(ConfigError) as err:
-        parse_run_config(BASE + "acquire_files = maybe\n")
-    assert err.value.key == "acquire_files"
+        parse_run_config(BASE + "newcomers = 2:3\n")
+    assert err.value.key == "newcomers"
 
 
 def test_garbled_line_rejected():
