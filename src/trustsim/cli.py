@@ -181,6 +181,8 @@ def _cmd_simulate(args) -> int:
     runs = [(seed, output(run.metrics_csv, seed), output(run.trace_csv, seed)) for seed in seeds]
     # A bad output path fails here, before the first cycle, not after the runs.
     for path in {path for _, *paths in runs for path in paths if path is not None}:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, "output path is a directory", path)
         directory = os.path.dirname(path) or "."
         if not os.path.isdir(directory):
             raise FileNotFoundError(errno.ENOENT, "no such output directory", directory)

@@ -1,9 +1,11 @@
 """Round-based simulation of the volunteer-credit trust mechanism.
 
 A population of behaviorally fixed peers plays repeated query rounds.
-Each round:
+Peer ids are dense (0..N-1, founders first in the order good, bad, liar,
+then newcomers as they join), so an id is also the index into every
+per-peer list.  Each round:
 
-1. A requester, drawn uniformly from the joined peers, picks a uniformly
+1. A requester, drawn uniformly from the peers, picks a uniformly
    random file it does not hold.
 2. The query floods to a uniform ``reach``-sized sample of the other
    peers; volunteers are every sampled liar plus every sampled truthful
@@ -17,12 +19,12 @@ Each round:
    peer pays the penalty (clamped at the floor) and the other volunteers
    are credited.
 
-The flooding sample itself is never materialized: volunteer counts are
-drawn from the exact sample-intersection distribution (multivariate
-hypergeometric) and members uniformly within each class, which is
-distributionally identical to sampling ``reach`` peers and filtering, and
-is what keeps desk-scale runs fast.  Cycles are a fixed batch of
-``queries_per_cycle`` rounds; metrics are recorded per cycle.
+The flooding sample itself is never materialized: ``Population.volunteers``
+draws volunteer counts from the exact sample-intersection distribution
+(multivariate hypergeometric) and members uniformly within each class,
+which is distributionally identical to sampling ``reach`` peers and
+filtering, and is what keeps desk-scale runs fast.  Cycles are a fixed
+batch of ``queries_per_cycle`` rounds; metrics are recorded per cycle.
 
 Determinism: all randomness derives from ``rng_seed`` via counter-based
 stream splitting (see :mod:`trustsim.rng`) — one stream per peer for
@@ -216,21 +218,22 @@ class RoundRecord:
 
 
 class Population:
-    """Peers, their holdings, and the per-file truthful-holder index."""
+    """Peers (dense ids, see above), their holdings, the per-file
+    truthful-holder index, and the volunteer draw.  ``config`` must be
+    validated; :func:`build_population` does that and adds the founders."""
 
     def __init__(self, config: SimConfig):
         self.config = config
         self.holdings_size = holdings_size(config.catalog_size, config.n)
         self.behaviors: list[Behavior] = []
         self.holdings: list[frozenset[int]] = []
-        self.joined: list[int] = []
         self.liar_pool: list[int] = []
         self.liar_index: dict[int, int] = {}
         self.holders_by_file: list[list[int]] = [[] for _ in range(config.catalog_size)]
-        self.good_founder_ids: list[int] = []
-        self.bad_founder_ids: list[int] = []
-        self.liar_founder_ids: list[int] = []
         self.newcomer_good_ids: list[int] = []
+        # Liar-count CDFs for a truthful and for a liar requester; built by
+        # the first draw after the population changes.
+        self._cdfs: tuple | None = None
 
     @property
     def size(self) -> int:
@@ -240,45 +243,100 @@ class Population:
     def liar_count(self) -> int:
         return len(self.liar_pool)
 
-    def add_peer(self, behavior: Behavior, seed: int, founder: bool) -> int:
+    def add_peer(self, behavior: Behavior) -> int:
         peer_id = len(self.behaviors)
-        stream = Stream.from_path(seed, "holdings", peer_id)
+        stream = Stream.from_path(self.config.rng_seed, "holdings", peer_id)
         catalog = self.config.catalog_size
         files: set[int] = set()
         while len(files) < self.holdings_size:
             files.add(stream.randbelow(catalog))
         self.behaviors.append(behavior)
         self.holdings.append(frozenset(files))
-        self.joined.append(peer_id)
         if behavior.truthful:
             for file_id in files:
                 self.holders_by_file[file_id].append(peer_id)
         else:
             self.liar_index[peer_id] = len(self.liar_pool)
             self.liar_pool.append(peer_id)
-        if founder:
-            {
-                Behavior.GOOD_SERVER: self.good_founder_ids,
-                Behavior.BAD_SERVER: self.bad_founder_ids,
-                Behavior.LIAR: self.liar_founder_ids,
-            }[behavior].append(peer_id)
-        elif behavior is Behavior.GOOD_SERVER:
+        if peer_id >= self.config.founder_population and behavior is Behavior.GOOD_SERVER:
             self.newcomer_good_ids.append(peer_id)
+        self._cdfs = None
         return peer_id
 
+    def volunteers(self, stream: Stream, requester_id: int, file_id: int) -> list[int]:
+        """Draw one query's volunteer set.
 
-def build_population(config: SimConfig, seed: int | None = None) -> Population:
-    """Founders with uniformly random holdings; deterministic in the seed."""
-    config = config.validate()
-    seed = config.rng_seed if seed is None else seed
-    population = Population(config)
+        Equivalent in distribution to sampling ``reach`` of the other peers
+        uniformly without replacement and keeping all liars plus truthful
+        holders of the file: the class counts follow the multivariate
+        hypergeometric law (liar count from a cached CDF, holder count by
+        sequential conditional draws over the file's holder list, which
+        also picks the members), and liar members are a partial
+        Fisher-Yates sample.  The requester must not hold the file;
+        ``liar_pool`` is left as it was found.
+        """
+        if self._cdfs is None:
+            others, liars, reach = self.size - 1, self.liar_count, self.config.reach
+            # A truthful requester exists only if some peer is not a liar.
+            self._cdfs = (
+                hypergeom_cdf(others, liars, reach) if liars <= others else None,
+                hypergeom_cdf(others, liars - 1, reach) if liars > 0 else None,
+            )
+        pool = self.liar_pool
+        requester_is_liar = self.behaviors[requester_id] is Behavior.LIAR
+        liar_limit = len(pool) - 1 if requester_is_liar else len(pool)
+
+        moved = False
+        if requester_is_liar:
+            # Park the requester at the end of the pool so the sample prefix
+            # never contains it; undone below.
+            pos = self.liar_index[requester_id]
+            if pos != liar_limit:
+                pool[pos], pool[liar_limit] = pool[liar_limit], pool[pos]
+                moved = True
+        cdf = self._cdfs[1] if requester_is_liar else self._cdfs[0]
+        liar_draws = draw_hypergeom(stream, cdf) if liar_limit > 0 else 0
+
+        randbelow = stream.randbelow
+        swaps: list[tuple[int, int]] = []
+        for i in range(liar_draws):
+            k = i + randbelow(liar_limit - i)
+            if k != i:
+                pool[i], pool[k] = pool[k], pool[i]
+                swaps.append((i, k))
+        volunteers = pool[:liar_draws]
+        for i, k in reversed(swaps):
+            pool[i], pool[k] = pool[k], pool[i]
+        if moved:
+            pool[pos], pool[liar_limit] = pool[liar_limit], pool[pos]
+
+        # Truthful holders: each is in the sample's remaining slots with the
+        # exact conditional probability given how many slots are left among
+        # the non-liar peers.
+        slots = self.config.reach - liar_draws
+        available = self.size - 1 - liar_limit
+        rand = stream.random
+        for pid in self.holders_by_file[file_id]:
+            if slots <= 0:
+                break
+            if rand() * available < slots:
+                volunteers.append(pid)
+                slots -= 1
+            available -= 1
+        return volunteers
+
+
+def build_population(config: SimConfig) -> Population:
+    """Founders with uniformly random holdings, in the order good, bad,
+    liar; deterministic in ``config.rng_seed``."""
+    population = Population(config.validate())
     for behavior, count in (
         (Behavior.GOOD_SERVER, config.good_founders),
         (Behavior.BAD_SERVER, config.bad_founders),
         (Behavior.LIAR, config.liar_founders),
     ):
         for _ in range(count):
-            population.add_peer(behavior, seed, founder=True)
+            population.add_peer(behavior)
     return population
 
 
@@ -309,99 +367,20 @@ def select_server(
     return volunteers[stream.randbelow(len(volunteers))], Selection.RANDOM
 
 
-class _VolunteerSampler:
-    """Draws one query's volunteer set.
-
-    Equivalent in distribution to sampling ``reach`` of the other peers
-    uniformly without replacement and keeping all liars plus truthful
-    holders of the file: the class counts follow the multivariate
-    hypergeometric law (liar count from a precomputed CDF, holder count by
-    sequential conditional draws over the file's holder list, which also
-    picks the members), and liar members are a partial Fisher-Yates sample.
-    """
-
-    def __init__(self, population: Population, reach: int):
-        self.population = population
-        self.reach = reach
-        self._built_for: tuple[int, int] = (-1, -1)
-        self._cdf_plain: tuple[int, list[float]] | None = None
-        self._cdf_liar_requester: tuple[int, list[float]] | None = None
-
-    def refresh(self) -> None:
-        shape = (self.population.size, self.population.liar_count)
-        if shape == self._built_for:
-            return
-        others, liars = shape[0] - 1, shape[1]
-        self._cdf_plain = hypergeom_cdf(others, liars, self.reach)
-        if liars > 0:
-            self._cdf_liar_requester = hypergeom_cdf(others, liars - 1, self.reach)
-        self._built_for = shape
-
-    def draw(self, stream: Stream, requester_id: int, file_id: int) -> list[int]:
-        population = self.population
-        pool = population.liar_pool
-        requester_is_liar = population.behaviors[requester_id] is Behavior.LIAR
-        liar_limit = len(pool) - 1 if requester_is_liar else len(pool)
-
-        moved = False
-        if requester_is_liar:
-            # Park the requester at the end of the pool so the sample prefix
-            # never contains it; undone below.
-            pos = population.liar_index[requester_id]
-            if pos != liar_limit:
-                pool[pos], pool[liar_limit] = pool[liar_limit], pool[pos]
-                moved = True
-        cdf = self._cdf_liar_requester if requester_is_liar else self._cdf_plain
-        liar_draws = draw_hypergeom(stream, cdf) if liar_limit > 0 else 0
-
-        randbelow = stream.randbelow
-        swaps: list[tuple[int, int]] = []
-        for i in range(liar_draws):
-            k = i + randbelow(liar_limit - i)
-            if k != i:
-                pool[i], pool[k] = pool[k], pool[i]
-                swaps.append((i, k))
-        volunteers = pool[:liar_draws]
-        for i, k in reversed(swaps):
-            pool[i], pool[k] = pool[k], pool[i]
-        if moved:
-            pool[pos], pool[liar_limit] = pool[liar_limit], pool[pos]
-
-        # Truthful holders: each is in the sample's remaining slots with the
-        # exact conditional probability given how many slots are left among
-        # the non-liar peers.
-        slots = self.reach - liar_draws
-        available = population.size - 1 - liar_limit
-        rand = stream.random
-        for pid in population.holders_by_file[file_id]:
-            if slots <= 0:
-                break
-            if rand() * available < slots:
-                volunteers.append(pid)
-                slots -= 1
-            available -= 1
-        return volunteers
-
-
 class Simulation:
     """One run: owns the population, the ledger, and the round counter."""
 
     def __init__(self, config: SimConfig, event_sink: Callable[[TrustEvent], None] | None = None):
-        self.config = config.validate()
-        self.population = build_population(self.config)
+        self.population = build_population(config)
+        self.config = self.population.config
+        config = self.config
         self.ledger = TrustLedger(
-            LedgerConfig(
-                penalty=self.config.penalty,
-                threshold=self.config.threshold,
-                floor=self.config.floor,
-            ),
+            LedgerConfig(penalty=config.penalty, threshold=config.threshold, floor=config.floor),
             event_sink=event_sink,
         )
-        for peer_id in self.population.joined:
+        for peer_id in range(self.population.size):
             self.ledger.register(peer_id)
-        self._sampler = _VolunteerSampler(self.population, self.config.reach)
-        self._sampler.refresh()
-        self._pending = sorted(self.config.newcomers, key=lambda i: i.cycle)
+        self._pending = sorted(config.newcomers, key=lambda i: i.cycle)
         self.round_index = 0
 
     def run(self) -> "MetricsSeries":
@@ -412,11 +391,11 @@ class Simulation:
         self._inject(cycle)
         config = self.config
         seed = config.rng_seed
-        joined = self.population.joined
+        size = self.population.size
         successes = failures = 0
         for _ in range(config.queries_per_cycle):
             stream = Stream.from_path(seed, "round", self.round_index)
-            requester = joined[stream.randbelow(len(joined))]
+            requester = stream.randbelow(size)
             record = self.run_round(requester, stream)
             if record.outcome is Outcome.SUCCESS:
                 successes += 1
@@ -443,7 +422,7 @@ class Simulation:
             if file_id not in holdings:
                 break
 
-        volunteers = self._sampler.draw(stream, requester_id, file_id)
+        volunteers = population.volunteers(stream, requester_id, file_id)
         if not volunteers:
             return RoundRecord(
                 round_index, requester_id, file_id, (), Gate.NO_VOLUNTEERS,
@@ -482,34 +461,29 @@ class Simulation:
         )
 
     def _inject(self, cycle: int) -> None:
-        injected = False
         while self._pending and self._pending[0].cycle <= cycle:
             injection = self._pending.pop(0)
             for _ in range(injection.count):
-                peer_id = self.population.add_peer(
-                    injection.behavior, self.config.rng_seed, founder=False
-                )
-                self.ledger.register(peer_id)
-            injected = True
-        if injected:
-            self._sampler.refresh()
+                self.ledger.register(self.population.add_peer(injection.behavior))
 
     def _metrics_row(self, cycle: int, successes: int, failures: int) -> "MetricsRow":
         scores = self.ledger.scores
 
-        def average(ids: list[int]) -> float | None:
+        def average(ids: range | list[int]) -> float | None:
             if not ids:
                 return None
             return math.fsum(map(scores.__getitem__, ids)) / len(ids)
 
-        population = self.population
+        config = self.config
+        good_end = config.good_founders
+        bad_end = good_end + config.bad_founders
         transactions = successes + failures
         return MetricsRow(
             cycle=cycle,
-            avg_trust_good=average(population.good_founder_ids),
-            avg_trust_bad=average(population.bad_founder_ids),
-            avg_trust_liar=average(population.liar_founder_ids),
-            avg_trust_newcomer_good=average(population.newcomer_good_ids),
+            avg_trust_good=average(range(good_end)),
+            avg_trust_bad=average(range(good_end, bad_end)),
+            avg_trust_liar=average(range(bad_end, config.founder_population)),
+            avg_trust_newcomer_good=average(self.population.newcomer_good_ids),
             success_rate=successes / transactions if transactions else None,
             penalties=failures,  # every failure penalizes its server
         )

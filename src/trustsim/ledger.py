@@ -37,8 +37,7 @@ class TrustEvent:
     """One applied trust change.
 
     ``delta`` is the change actually applied (a penalty clamped at the
-    floor shows the clamped delta); ``penalty`` carries the full penalty in
-    force that round for PENALTY events and is None for credits.
+    floor shows the clamped delta).
     """
 
     round_index: int
@@ -46,7 +45,6 @@ class TrustEvent:
     kind: EventKind
     delta: float
     new_value: float
-    penalty: float | None = None
 
 
 @dataclass(frozen=True)
@@ -91,12 +89,6 @@ class TrustLedger:
         if value < self.config.floor:
             raise ValueError("initial trust below floor")
         self.scores[peer_id] = value
-
-    def trust(self, peer_id: int) -> float:
-        try:
-            return self.scores[peer_id]
-        except KeyError:
-            raise UnknownPeerError(peer_id) from None
 
     def credit(
         self,
@@ -157,14 +149,7 @@ class TrustLedger:
         scores[peer_id] = new_value
         if self._event_sink is not None:
             self._event_sink(
-                TrustEvent(
-                    round_index,
-                    peer_id,
-                    EventKind.PENALTY,
-                    new_value - old,
-                    new_value,
-                    penalty=self.config.penalty,
-                )
+                TrustEvent(round_index, peer_id, EventKind.PENALTY, new_value - old, new_value)
             )
         return new_value
 
@@ -180,7 +165,7 @@ class TrustLedger:
         for event in events:
             if event.kind is EventKind.PENALTY:
                 scores[event.peer_id] = max(
-                    config.floor, scores[event.peer_id] - event.penalty
+                    config.floor, scores[event.peer_id] - config.penalty
                 )
             else:
                 scores[event.peer_id] += 1.0

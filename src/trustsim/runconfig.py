@@ -7,7 +7,7 @@ plus the output paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .engine import ConfigError, SimConfig, parse_injections
 
@@ -29,19 +29,8 @@ _SIM_KEYS = {
     "newcomers": parse_injections,
 }
 _PATH_KEYS = ("metrics_csv", "trace_csv")
-_REQUIRED = (
-    "good_founders",
-    "bad_founders",
-    "liar_founders",
-    "catalog_size",
-    "n",
-    "p",
-    "penalty",
-    "threshold",
-    "total_cycles",
-    "rng_seed",
-    "metrics_csv",
-)
+# Every SimConfig field without a default, then the metrics path.
+_REQUIRED = tuple(f.name for f in fields(SimConfig) if f.default is MISSING) + ("metrics_csv",)
 
 
 @dataclass(frozen=True)
@@ -77,6 +66,9 @@ def parse_run_config(text: str, overrides: dict[str, str] | None = None) -> RunC
     for key in _REQUIRED:
         if key not in raw:
             raise ConfigError(key, "required key missing")
+    for key in _PATH_KEYS:
+        if raw.get(key) == "":
+            raise ConfigError(key, "output path must not be empty")
 
     sim_kwargs = {}
     for key, parse in _SIM_KEYS.items():

@@ -282,7 +282,7 @@ def test_criterion_9_ledger_invariants_randomized():
         floor = config.floor
         scores = sim.ledger.scores
         for _ in range(10_000):
-            requester = rng.choice(sim.population.joined)
+            requester = rng.randrange(sim.population.size)
             before = len(events)
             record = sim.run_round(requester)
             new = events[before:]

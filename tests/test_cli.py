@@ -132,6 +132,31 @@ def test_simulate_checks_every_output_path_before_running(tmp_path):
     assert not list(tmp_path.glob("metrics*.seed*"))
 
 
+def _forbid_simulation(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the run started before the output paths were checked")
+
+    monkeypatch.setattr("trustsim.cli.Simulation", fail)
+
+
+def test_simulate_empty_output_path_is_config_error(tmp_path, capsys, monkeypatch):
+    _forbid_simulation(monkeypatch)
+    path, _ = write_config(tmp_path, metrics_csv="")
+    assert run_cli("simulate", str(path)) == 2
+    assert "metrics_csv" in capsys.readouterr().err
+    path, _ = write_config(tmp_path)
+    assert run_cli("simulate", str(path), "--trace-csv", "") == 2
+    assert "trace_csv" in capsys.readouterr().err
+
+
+def test_simulate_directory_output_path_is_io_error(tmp_path, monkeypatch):
+    _forbid_simulation(monkeypatch)
+    path, _ = write_config(tmp_path, metrics_csv=str(tmp_path))
+    assert run_cli("simulate", str(path)) == 3
+    path, _ = write_config(tmp_path, trace_csv=str(tmp_path))
+    assert run_cli("simulate", str(path)) == 3
+
+
 @pytest.mark.parametrize("path, seed, expected", [
     ("metrics.csv", 1, "metrics.seed1.csv"),
     ("metrics", 1, "metrics.seed1"),

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustsim.engine import (
     Behavior,
@@ -50,7 +52,7 @@ def set_holdings(sim: Simulation, assignment: dict[int, set[int]]) -> None:
     for pid, files in assignment.items():
         population.holdings[pid] = frozenset(files)
     population.holders_by_file = [[] for _ in range(population.config.catalog_size)]
-    for pid in population.joined:
+    for pid in range(population.size):
         if population.behaviors[pid].truthful:
             for file_id in population.holdings[pid]:
                 population.holders_by_file[file_id].append(pid)
@@ -136,7 +138,7 @@ def test_population_indexes_are_consistent():
             assert population.behaviors[pid].truthful
             assert file_id in population.holdings[pid]
     # every truthful holding is indexed
-    for pid in population.joined:
+    for pid in range(population.size):
         if population.behaviors[pid].truthful:
             for file_id in population.holdings[pid]:
                 assert pid in population.holders_by_file[file_id]
@@ -233,9 +235,9 @@ def test_round_with_good_and_liar_forced_random_penalizes_liar():
         pytest.fail("no seed in range selected the liar")
     assert record.outcome is Outcome.FAILURE
     assert record.penalty_delta == -3.0  # clamped: trust was 3, penalty 299
-    assert sim.ledger.trust(liar) == 0.0
-    assert sim.ledger.trust(good) == 1.0
-    assert sim.ledger.trust(0) == 0.0  # requester trust untouched
+    assert sim.ledger.scores[liar] == 0.0
+    assert sim.ledger.scores[good] == 1.0
+    assert sim.ledger.scores[0] == 0.0  # requester trust untouched
 
 
 def test_round_all_good_volunteers_credits_everyone():
@@ -247,7 +249,7 @@ def test_round_all_good_volunteers_credits_everyone():
     assert record.gate is Gate.SERVED
     assert record.outcome is Outcome.SUCCESS
     assert set(record.volunteer_ids) == {1, 2, 3}
-    assert all(sim.ledger.trust(pid) == 1.0 for pid in (1, 2, 3))
+    assert all(sim.ledger.scores[pid] == 1.0 for pid in (1, 2, 3))
 
 
 def test_round_without_volunteers_changes_nothing():
@@ -259,7 +261,7 @@ def test_round_without_volunteers_changes_nothing():
     assert record.gate is Gate.NO_VOLUNTEERS
     assert record.volunteer_ids == ()
     assert record.outcome is None and record.selected_id is None
-    assert sim.ledger.trust(1) == 0.0
+    assert sim.ledger.scores[1] == 0.0
 
 
 def test_round_below_threshold_is_reputation_only():
@@ -270,8 +272,8 @@ def test_round_below_threshold_is_reputation_only():
     assert record.gate is Gate.REPUTATION_ONLY
     assert record.mode is None and record.selected_id is None
     assert record.outcome is None
-    assert sim.ledger.trust(1) == 1.0
-    assert sim.ledger.trust(2) == 4.0  # the liar still farms willingness credit
+    assert sim.ledger.scores[1] == 1.0
+    assert sim.ledger.scores[2] == 4.0  # the liar still farms willingness credit
 
     # The gate is inclusive: trust equal to the threshold is served, trust
     # just below it is not.
@@ -318,7 +320,7 @@ def test_truthful_volunteers_always_hold_the_file():
     population = sim.population
     rng = random.Random(2)
     for _ in range(4000):
-        requester = rng.choice(population.joined)
+        requester = rng.randrange(population.size)
         record = sim.run_round(requester)
         for pid in record.volunteer_ids:
             if population.behaviors[pid].truthful:
@@ -351,7 +353,7 @@ def test_volunteer_rates_match_reach_and_holdings():
 
 def reference_volunteers(population, reach, requester, file_id, rng: random.Random):
     """Reference path: materialize the reach-sized sample, then filter."""
-    others = [pid for pid in population.joined if pid != requester]
+    others = [pid for pid in range(population.size) if pid != requester]
     sample = rng.sample(others, reach)
     volunteers = [
         pid
@@ -365,7 +367,7 @@ def reference_volunteers(population, reach, requester, file_id, rng: random.Rand
     return volunteers
 
 
-def test_sampler_distribution_matches_reference():
+def test_volunteer_draw_matches_reference():
     cfg = small_config(good_founders=6, bad_founders=2, liar_founders=4,
                        catalog_size=8, n=4, reach=5)
     sim = Simulation(cfg)
@@ -378,7 +380,7 @@ def test_sampler_distribution_matches_reference():
     fast_liar_counts: dict[int, int] = {}
     stream = Stream.from_path(99, "fast")
     for _ in range(trials):
-        volunteers = sim._sampler.draw(stream, requester, file_id)
+        volunteers = sim.population.volunteers(stream, requester, file_id)
         liars = 0
         for pid in volunteers:
             fast_counts[pid] = fast_counts.get(pid, 0) + 1
@@ -398,7 +400,7 @@ def test_sampler_distribution_matches_reference():
                 liars += 1
         ref_liar_counts[liars] = ref_liar_counts.get(liars, 0) + 1
 
-    for pid in population.joined:
+    for pid in range(population.size):
         if pid == requester:
             continue
         f1 = fast_counts.get(pid, 0) / trials
@@ -414,15 +416,56 @@ def test_sampler_distribution_matches_reference():
         assert abs(f1 - f2) <= bound, f"liar count {k}: {f1} vs {f2}"
 
 
-def test_sampler_excludes_liar_requester():
+def test_volunteer_draw_excludes_liar_requester():
     cfg = small_config(good_founders=2, bad_founders=0, liar_founders=2,
                        catalog_size=24, n=4, reach=3)
     sim = Simulation(cfg)
     liar = sim.population.liar_pool[0]
     stream = Stream.from_path(5, "self")
     for _ in range(500):
-        volunteers = sim._sampler.draw(stream, liar, 0)
+        volunteers = sim.population.volunteers(stream, liar, 0)
         assert liar not in volunteers
+
+
+@st.composite
+def volunteer_draws(draw):
+    """A small population, a requester, a file it does not hold, a reach."""
+    good, bad, liars = (draw(st.integers(0, 6)) for _ in range(3))
+    if good + bad + liars < 2:
+        liars += 2
+    size = good + bad + liars
+    n = draw(st.integers(2, 4))
+    cfg = small_config(
+        good_founders=good, bad_founders=bad, liar_founders=liars,
+        catalog_size=draw(st.integers(n + 1, 12)), n=n,
+        reach=draw(st.one_of(st.just(size - 1), st.integers(1, size - 1))),
+        rng_seed=draw(st.integers(0, 2**32)),
+    )
+    population = build_population(cfg)
+    requester = draw(st.integers(0, size - 1))
+    missing = [f for f in range(cfg.catalog_size) if f not in population.holdings[requester]]
+    return population, requester, draw(st.sampled_from(missing)), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(volunteer_draws())
+def test_volunteer_draw_properties(case):
+    population, requester, file_id, seed = case
+    reach = population.config.reach
+    pool_before = list(population.liar_pool)
+    volunteers = population.volunteers(Stream.from_path(seed, "prop"), requester, file_id)
+
+    assert len(set(volunteers)) == len(volunteers) <= reach
+    assert requester not in volunteers
+    for pid in volunteers:
+        assert (population.behaviors[pid] is Behavior.LIAR
+                or pid in population.holders_by_file[file_id])
+    assert population.liar_pool == pool_before
+    if reach == population.size - 1:
+        # The query reaches every other peer, so every one that can answer does.
+        expected = {pid for pid in population.liar_pool if pid != requester}
+        expected.update(population.holders_by_file[file_id])
+        assert set(volunteers) == expected
 
 
 # --- whole runs ---
@@ -441,6 +484,18 @@ def test_all_good_population_always_succeeds():
         assert row.avg_trust_good >= last
         last = row.avg_trust_good
         assert row.avg_trust_bad is None and row.avg_trust_liar is None
+
+
+@pytest.mark.parametrize("newcomers", [(), (Injection(2, 3, Behavior.GOOD_SERVER),)])
+def test_all_liar_founders_run(newcomers):
+    cfg = small_config(good_founders=0, bad_founders=0, liar_founders=10,
+                       reach=None, total_cycles=4, newcomers=newcomers)
+    series = run_simulation(cfg)
+    assert len(series) == 4
+    for row in series:
+        assert row.avg_trust_good is None and row.avg_trust_bad is None
+        assert row.avg_trust_liar is not None
+    assert (series.rows[-1].avg_trust_newcomer_good is not None) == bool(newcomers)
 
 
 def test_run_is_deterministic_per_seed():
@@ -470,10 +525,13 @@ def test_newcomers_join_at_their_cycle():
 def test_newcomer_liars_join_pool_but_not_founder_curves():
     cfg = small_config(total_cycles=4, newcomers=(Injection(1, 3, Behavior.LIAR),))
     sim = Simulation(cfg)
-    sim.run()
+    series = sim.run()
     assert sim.population.liar_count == 5
-    assert len(sim.population.liar_founder_ids) == 2
+    assert sim.population.liar_pool[2:] == [12, 13, 14]  # ids follow the founders
     assert sim.population.newcomer_good_ids == []
+    # The liar curve averages the founder liars 10 and 11 only.
+    scores = sim.ledger.scores
+    assert series.rows[-1].avg_trust_liar == (scores[10] + scores[11]) / 2
 
 
 def test_never_penalized_peers_have_monotone_trust():
@@ -498,7 +556,7 @@ def test_credit_conservation_per_round():
     rng = random.Random(12)
     for _ in range(2000):
         before = len(events)
-        record = sim.run_round(rng.choice(sim.population.joined))
+        record = sim.run_round(rng.randrange(sim.population.size))
         new = events[before:]
         penalties = [e for e in new if e.kind is EventKind.PENALTY]
         credits = len(new) - len(penalties)

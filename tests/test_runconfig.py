@@ -102,3 +102,13 @@ def test_load_run_config(tmp_path):
 def test_config_keys_cover_paths():
     keys = config_keys()
     assert "metrics_csv" in keys and "trace_csv" in keys and "penalty" in keys
+
+
+def test_empty_output_path_rejected():
+    for key in ("metrics_csv", "trace_csv"):
+        with pytest.raises(ConfigError) as err:
+            parse_run_config(BASE, overrides={key: ""})
+        assert err.value.key == key
+    with pytest.raises(ConfigError) as err:
+        parse_run_config(BASE.replace("metrics_csv = out/metrics.csv", "metrics_csv ="))
+    assert err.value.key == "metrics_csv"
