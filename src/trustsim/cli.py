@@ -19,7 +19,7 @@ import sys
 
 from . import game, oracle
 from .chart import write_chart
-from .engine import Simulation
+from .engine import ConfigError, Simulation
 from .ledger import EventCsvSink
 from .runconfig import config_keys, load_run_config
 
@@ -176,10 +176,18 @@ def _cmd_simulate(args) -> int:
         seeds = [run.sim.rng_seed]
 
     def output(path: str | None, seed: int) -> str | None:
-        return path if path is None or args.seeds is None else _with_seed_suffix(path, seed)
+        if path is None:
+            return None
+        if not os.path.basename(path):  # ends with a separator: a directory
+            raise IsADirectoryError(errno.EISDIR, "output path names a directory", path)
+        return path if args.seeds is None else _with_seed_suffix(path, seed)
 
     runs = [(seed, output(run.metrics_csv, seed), output(run.trace_csv, seed)) for seed in seeds]
     # A bad output path fails here, before the first cycle, not after the runs.
+    metrics_files = {os.path.realpath(metrics) for _, metrics, _ in runs}
+    for _, _, trace in runs:
+        if trace is not None and os.path.realpath(trace) in metrics_files:
+            raise ConfigError("trace_csv", f"{trace!r} is also a metrics_csv output file")
     for path in {path for _, *paths in runs for path in paths if path is not None}:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, "output path is a directory", path)

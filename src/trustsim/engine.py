@@ -42,7 +42,7 @@ from typing import Callable
 
 from .game import Selection
 from .ledger import EventKind, LedgerConfig, TrustEvent, TrustLedger, UnknownPeerError
-from .rng import Stream, draw_hypergeom, hypergeom_cdf
+from .rng import RANDOM_SCALE, Stream, draw_hypergeom, hypergeom_cdf
 
 DEFAULT_VOLUNTEER_TARGET = 30.0
 
@@ -297,15 +297,19 @@ class Population:
         cdf = self._cdfs[1] if requester_is_liar else self._cdfs[0]
         liar_draws = draw_hypergeom(stream, cdf) if liar_limit > 0 else 0
 
-        randbelow = stream.randbelow
-        swaps: list[tuple[int, int]] = []
-        for i in range(liar_draws):
-            k = i + randbelow(liar_limit - i)
-            if k != i:
-                pool[i], pool[k] = pool[k], pool[i]
-                swaps.append((i, k))
+        # The liar draws and then one draw per holder scanned, as
+        # stream.randbelow() and stream.random() would make them: read one
+        # block ahead, then skip only the draws used.
+        holders = self.holders_by_file[file_id]
+        draws = iter(stream.u64s(liar_draws + len(holders), advance=False))
+        # Partial Fisher-Yates with ks[i] = i + randbelow(liar_limit - i);
+        # the swaps are undone in reverse so the pool is left as it was.
+        ks = [i + ((u * (liar_limit - i)) >> 64) for i, u in zip(range(liar_draws), draws)]
+        for i, k in enumerate(ks):
+            pool[i], pool[k] = pool[k], pool[i]
         volunteers = pool[:liar_draws]
-        for i, k in reversed(swaps):
+        for i in range(liar_draws - 1, -1, -1):
+            k = ks[i]
             pool[i], pool[k] = pool[k], pool[i]
         if moved:
             pool[pos], pool[liar_limit] = pool[liar_limit], pool[pos]
@@ -315,14 +319,17 @@ class Population:
         # the non-liar peers.
         slots = self.config.reach - liar_draws
         available = self.size - 1 - liar_limit
-        rand = stream.random
-        for pid in self.holders_by_file[file_id]:
+        used = liar_draws
+        scale = RANDOM_SCALE
+        for pid, u in zip(holders, draws):
             if slots <= 0:
                 break
-            if rand() * available < slots:
+            used += 1
+            if (u >> 11) * scale * available < slots:  # stream.random() * available
                 volunteers.append(pid)
                 slots -= 1
             available -= 1
+        stream.skip(used)
         return volunteers
 
 

@@ -86,6 +86,8 @@ class TrustLedger:
         if peer_id in self.scores:
             raise ValueError(f"peer {peer_id!r} already registered")
         value = self.config.floor if trust is None else trust
+        if not math.isfinite(value):
+            raise ValueError("initial trust must be a finite number")
         if value < self.config.floor:
             raise ValueError("initial trust below floor")
         self.scores[peer_id] = value

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
-from .rng import Stream
+from .rng import RANDOM_SCALE, Stream
 
 _MIN_TRIALS = 1000
 _MAX_ENUM_STREAK = 20
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -60,12 +62,12 @@ def mc_liar_payoff(p: float, penalty: float, j: int, trials: int, seed: int = 0)
     _check_round_params(p, j)
     if trials < _MIN_TRIALS:
         raise ValueError(f"trials must be >= {_MIN_TRIALS}")
-    stream = Stream.from_path(seed, "mc-liar-payoff")
-    rand = stream.random
-    pick = stream.randbelow
+    draw = _draws(Stream.from_path(seed, "mc-liar-payoff"))
+    scale = RANDOM_SCALE
     credited = 0
     for _ in range(trials):
-        if rand() < p or pick(j) != 0:
+        # stream.random() < p or stream.randbelow(j) != 0
+        if (draw() >> 11) * scale < p or (draw() * j) >> 64 != 0:
             credited += 1
     penalized = trials - credited
     mean = (credited - penalty * penalized) / trials
@@ -81,13 +83,13 @@ def mc_escape_frequency(j: int, p: float, streak: int, trials: int, seed: int = 
         raise ValueError("streak must be >= 0")
     if trials < _MIN_TRIALS:
         raise ValueError(f"trials must be >= {_MIN_TRIALS}")
-    stream = Stream.from_path(seed, "mc-escape")
-    rand = stream.random
-    pick = stream.randbelow
+    draw = _draws(Stream.from_path(seed, "mc-escape"))
+    scale = RANDOM_SCALE
     survived = 0
     for _ in range(trials):
         for _ in range(streak):
-            if rand() >= p and pick(j) == 0:
+            # stream.random() >= p and stream.randbelow(j) == 0
+            if (draw() >> 11) * scale >= p and (draw() * j) >> 64 == 0:
                 break
         else:
             survived += 1
@@ -132,6 +134,12 @@ def within_sigmas(expected: float, result: McResult, sigmas: float = 4.0) -> boo
     if result.std_error == 0.0:
         return result.mean == expected
     return abs(result.mean - expected) <= sigmas * result.std_error
+
+
+def _draws(stream: Stream):
+    """The stream's ``next_u64`` outputs in order, made ``_BLOCK`` at a time
+    by ``Stream.u64s``; returns the iterator's ``__next__``."""
+    return chain.from_iterable(map(stream.u64s, repeat(_BLOCK))).__next__
 
 
 def _check_round_params(p: float, j: int) -> None:

@@ -23,14 +23,38 @@ scheme can be reimplemented exactly:
 * ``randbelow(n)`` is the multiply-shift bounded draw
   ``(next_u64() * n) >> 64``.  Its bias is below ``n / 2**64``, which is
   negligible for every n used here (all far below 2**32).
+* Skip rule: the state after ``k`` draws is ``(state + k * GOLDEN) mod
+  2**64``, so ``skip(k)`` moves there at once, and the ``k``-th output
+  from ``state`` is ``mix64((state + k * GOLDEN) mod 2**64)``.
+* Block draws: ``u64s(count)`` returns the next ``count`` outputs, all
+  computed in one Python int of ``width >= count`` lanes of 128 bits.
+  Lane ``i`` (bits ``128*i`` and up) starts as ``state + (i + 1) *
+  GOLDEN``: the state times ``ONES`` (1 in every lane) plus ``STEPS``
+  (``(i + 1) * GOLDEN mod 2**64`` in lane ``i``).  The finalizer then runs
+  once over the whole int.  Every lane is cut to its low 64 bits (``&
+  MASK``, ones in the low half of every lane) before each xor-shift and
+  before and after each multiply, so each product is below 2**128 and no
+  carry or shifted-in bit reaches the low half of another lane.  The last
+  xor-shift needs no cut, because only low halves are read.  The low 64
+  bits of lane ``i`` are output ``i``; they are read back from
+  ``int.to_bytes`` as little-endian words, every second word.  Widths
+  come from the fixed list ``_WIDTHS``; a longer block than the widest is
+  made in pieces of that many lanes.
 """
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# Block widths in lanes; a block computes less than 1.5 times the lanes it
+# returns.
+_WIDTHS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512)
+_MAX_LANES = _WIDTHS[-1]
+# random() is (next_u64() >> 11) * RANDOM_SCALE, a float in [0, 1).
+RANDOM_SCALE = 2.0**-53
 
 
 def mix64(value: int) -> int:
@@ -39,6 +63,29 @@ def mix64(value: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def _packed(low_words: list[int]) -> int:
+    """One int with ``low_words[i]`` in the low half of 128-bit lane ``i``."""
+    return int.from_bytes(b"".join(w.to_bytes(16, "little") for w in low_words), "little")
+
+
+def _block_table() -> list[tuple[struct.Struct, int, int, int]]:
+    """``table[count]``: the lane reader, ``ONES``, ``STEPS`` and ``MASK`` of
+    the narrowest width in ``_WIDTHS`` that holds ``count`` lanes."""
+    table: list[tuple[struct.Struct, int, int, int]] = []
+    for width in _WIDTHS:
+        constants = (
+            struct.Struct("<" + "Q8x" * width),
+            _packed([1] * width),
+            _packed([(k * _GOLDEN) & _MASK64 for k in range(1, width + 1)]),
+            _packed([_MASK64] * width),
+        )
+        table += [constants] * (width + 1 - len(table))
+    return table
+
+
+_BLOCKS = _block_table()
 
 
 def _fnv64(text: str) -> int:
@@ -69,19 +116,57 @@ class Stream:
     def from_path(cls, master_seed: int, *path: int | str) -> "Stream":
         return cls(derive_seed(master_seed, *path))
 
+    # next_u64, random and randbelow inline mix64: they serve most scalar
+    # draws, and a call costs about as much as the finalizer.
     def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return mix64(self._state)
+        z = self._state = (self._state + _GOLDEN) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
 
     def random(self) -> float:
         """Uniform float in [0, 1)."""
-        return (self.next_u64() >> 11) * 1.1102230246251565e-16  # 2**-53
+        z = self._state = (self._state + _GOLDEN) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return ((z ^ (z >> 31)) >> 11) * RANDOM_SCALE
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n)."""
         if n <= 0:
             raise ValueError("randbelow requires n >= 1")
-        return (self.next_u64() * n) >> 64
+        z = self._state = (self._state + _GOLDEN) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return ((z ^ (z >> 31)) * n) >> 64
+
+    def u64s(self, count: int, advance: bool = True) -> list[int]:
+        """The next ``count`` outputs of ``next_u64``, computed as one block
+        (see the module docstring).  With ``advance=False`` the stream stays
+        where it was, so a caller can read ahead and ``skip`` only the draws
+        it used."""
+        if count < 0:
+            raise ValueError("u64s requires count >= 0")
+        state = self._state
+        out: list[int] = []
+        for start in range(0, count, _MAX_LANES):
+            lanes = min(count - start, _MAX_LANES)
+            reader, ones, steps, mask = _BLOCKS[lanes]
+            z = (state * ones + steps) & mask
+            z = (((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
+            z = (((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB) & mask
+            z ^= z >> 31
+            out += reader.unpack(z.to_bytes(reader.size, "little"))[:lanes]
+            state = (state + lanes * _GOLDEN) & _MASK64
+        if advance:
+            self._state = state
+        return out
+
+    def skip(self, count: int) -> None:
+        """Advance past ``count`` draws, as ``count`` calls of ``next_u64``."""
+        if count < 0:
+            raise ValueError("skip requires count >= 0")
+        self._state = (self._state + count * _GOLDEN) & _MASK64
 
 
 def hypergeom_cdf(total: int, tagged: int, draws: int) -> tuple[int, list[float]]:

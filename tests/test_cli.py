@@ -1,3 +1,4 @@
+import os
 import re
 import xml.etree.ElementTree as ET
 
@@ -155,6 +156,29 @@ def test_simulate_directory_output_path_is_io_error(tmp_path, monkeypatch):
     assert run_cli("simulate", str(path)) == 3
     path, _ = write_config(tmp_path, trace_csv=str(tmp_path))
     assert run_cli("simulate", str(path)) == 3
+
+
+@pytest.mark.parametrize("seeds", [(), ("--seeds", "1,2")])
+def test_simulate_trace_onto_metrics_file_is_config_error(seeds, tmp_path, capsys, monkeypatch):
+    _forbid_simulation(monkeypatch)
+    # The same file under another spelling, before and after the seed suffix.
+    path, _ = write_config(tmp_path, trace_csv=str(tmp_path / "." / "metrics.csv"))
+    assert run_cli("simulate", str(path), *seeds) == 2
+    assert "error: trace_csv:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds", [(), ("--seeds", "1")])
+@pytest.mark.parametrize("key", ["metrics_csv", "trace_csv"])
+@pytest.mark.parametrize("exists", [True, False])
+def test_simulate_output_path_ending_in_separator_is_io_error(
+    exists, key, seeds, tmp_path, monkeypatch
+):
+    _forbid_simulation(monkeypatch)
+    out = tmp_path / "out"
+    if exists:
+        out.mkdir()
+    path, _ = write_config(tmp_path, **{key: str(out) + os.sep})
+    assert run_cli("simulate", str(path), *seeds) == 3
 
 
 @pytest.mark.parametrize("path, seed, expected", [

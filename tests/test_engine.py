@@ -24,7 +24,7 @@ from trustsim.engine import (
 )
 from trustsim.game import Selection
 from trustsim.ledger import EventKind, LedgerConfig, TrustLedger
-from trustsim.rng import Stream
+from trustsim.rng import Stream, draw_hypergeom, hypergeom_cdf
 
 
 def small_config(**overrides):
@@ -466,6 +466,69 @@ def test_volunteer_draw_properties(case):
         expected = {pid for pid in population.liar_pool if pid != requester}
         expected.update(population.holders_by_file[file_id])
         assert set(volunteers) == expected
+
+
+def scalar_volunteers(population, stream, requester_id, file_id):
+    """The volunteer draw one scalar draw at a time, on a copy of the liar
+    pool: the reference for the block draws of ``Population.volunteers``."""
+    others, reach = population.size - 1, population.config.reach
+    pool = list(population.liar_pool)
+    requester_is_liar = population.behaviors[requester_id] is Behavior.LIAR
+    liar_limit = len(pool) - 1 if requester_is_liar else len(pool)
+    if requester_is_liar:
+        pos = pool.index(requester_id)
+        pool[pos], pool[liar_limit] = pool[liar_limit], pool[pos]
+    liar_draws = 0
+    if liar_limit > 0:
+        liar_draws = draw_hypergeom(stream, hypergeom_cdf(others, liar_limit, reach))
+    for i in range(liar_draws):
+        k = i + stream.randbelow(liar_limit - i)
+        pool[i], pool[k] = pool[k], pool[i]
+    volunteers = pool[:liar_draws]
+    slots = reach - liar_draws
+    available = others - liar_limit
+    for pid in population.holders_by_file[file_id]:
+        if slots <= 0:
+            break
+        if stream.random() * available < slots:
+            volunteers.append(pid)
+            slots -= 1
+        available -= 1
+    return volunteers
+
+
+@settings(max_examples=300, deadline=None)
+@given(volunteer_draws())
+def test_volunteer_draw_equals_scalar_reference(case):
+    population, requester, file_id, seed = case
+    block, scalar = Stream.from_path(seed, "prop"), Stream.from_path(seed, "prop")
+    expected = scalar_volunteers(population, scalar, requester, file_id)
+    assert population.volunteers(block, requester, file_id) == expected
+    assert block._state == scalar._state
+
+
+def test_volunteer_draw_equals_scalar_reference_in_edge_cases():
+    """A liar requester, zero liars, all liars, ``reach = size - 1``, and
+    holder scans that stop early: with n = 2 each file has about seven
+    holders, more than a small reach has slots for."""
+    early_stops = 0
+    for liars, reach in ((3, 13), (3, 2), (0, 13), (0, 1), (14, 13), (14, 3)):
+        cfg = small_config(good_founders=14 - liars, bad_founders=0, liar_founders=liars,
+                           catalog_size=4, n=2, reach=reach)
+        population = build_population(cfg)
+        for requester in range(population.size):
+            for file_id in set(range(4)) - population.holdings[requester]:
+                for seed in range(5):
+                    block = Stream.from_path(seed, "edge", requester)
+                    scalar = Stream.from_path(seed, "edge", requester)
+                    expected = scalar_volunteers(population, scalar, requester, file_id)
+                    got = population.volunteers(block, requester, file_id)
+                    assert got == expected and block._state == scalar._state
+                    # The scan stopped early: the slots ran out before the
+                    # last holder was reached.
+                    holders = population.holders_by_file[file_id]
+                    early_stops += bool(holders) and len(got) == reach and holders[-1] != got[-1]
+    assert early_stops > 0
 
 
 # --- whole runs ---

@@ -70,6 +70,14 @@ def test_register_twice_rejected():
         ledger.register(2, trust=-1.0)  # below floor
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_register_rejects_non_finite_trust(value):
+    ledger = make_ledger()
+    with pytest.raises(ValueError, match="finite"):
+        ledger.register(1, trust=value)
+    assert 1 not in ledger.scores
+
+
 def test_credit_kind_cannot_be_penalty():
     ledger = make_ledger()
     ledger.register(1)

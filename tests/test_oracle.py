@@ -12,6 +12,7 @@ from trustsim.oracle import (
     mc_liar_payoff,
     within_sigmas,
 )
+from trustsim.rng import Stream
 
 
 def test_mc_result_requires_trials():
@@ -24,6 +25,27 @@ def test_mc_liar_payoff_matches_closed_form():
     assert within_sigmas(-0.1, result)
     result = mc_liar_payoff(0.0, 29.0, 30, trials=200_000, seed=4)
     assert within_sigmas(0.0, result)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_estimators_make_the_scalar_draws(seed):
+    """The estimators read block draws; a trial must still see exactly the
+    draws that stream.random() and stream.randbelow() would give it."""
+    p, penalty, j, streak, trials = 0.7, 10.0, 5, 4, 3000
+    stream = Stream.from_path(seed, "mc-liar-payoff")
+    credited = sum(stream.random() < p or stream.randbelow(j) != 0 for _ in range(trials))
+    expected = (credited - penalty * (trials - credited)) / trials
+    assert mc_liar_payoff(p, penalty, j, trials, seed).mean == expected
+
+    stream = Stream.from_path(seed, "mc-escape")
+    survived = 0
+    for _ in range(trials):
+        for _ in range(streak):
+            if stream.random() >= p and stream.randbelow(j) == 0:
+                break
+        else:
+            survived += 1
+    assert mc_escape_frequency(j, p, streak, trials, seed).mean == survived / trials
 
 
 def test_mc_liar_payoff_pure_trust_is_exact():

@@ -2,8 +2,10 @@ import math
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trustsim.rng import Stream, derive_seed, draw_hypergeom, hypergeom_cdf
+from trustsim.rng import _WIDTHS, Stream, derive_seed, draw_hypergeom, hypergeom_cdf
 
 
 def test_same_path_same_sequence():
@@ -47,6 +49,42 @@ def test_randbelow_rejects_nonpositive():
     stream = Stream.from_path(0)
     with pytest.raises(ValueError):
         stream.randbelow(0)
+
+
+def _check_block(state: int, count: int, advance: bool) -> None:
+    """u64s and skip against the scalar generator, their specification."""
+    block, scalar = Stream(state), Stream(state)
+    assert block.u64s(count, advance=advance) == [scalar.next_u64() for _ in range(count)]
+    assert block._state == (scalar._state if advance else state)
+    skipped = Stream(state)
+    skipped.skip(count)
+    assert skipped._state == scalar._state
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 600), st.booleans())
+def test_block_draws_equal_scalar_draws(state, count, advance):
+    _check_block(state, count, advance)
+
+
+def test_block_draws_cover_every_lane_width():
+    # Each width exactly filled and one lane short, the lane states that wrap
+    # past 2**64 from the top, and blocks made in more than one piece.
+    widest = _WIDTHS[-1]
+    counts = {0} | set(_WIDTHS) | {w - 1 for w in _WIDTHS} | {
+        widest + 1, 2 * widest, 2 * widest + 7}
+    for state in (0, 2**64 - 1, 0x9E3779B97F4A7C15 * 3 % 2**64):
+        for count in sorted(counts):
+            for advance in (True, False):
+                _check_block(state, count, advance)
+
+
+def test_block_draws_reject_negative_counts():
+    stream = Stream(1)
+    with pytest.raises(ValueError):
+        stream.u64s(-1)
+    with pytest.raises(ValueError):
+        stream.skip(-1)
 
 
 def _exact_pmf(total, tagged, draws):
