@@ -168,12 +168,7 @@ def _cmd_simulate(args) -> int:
         if getattr(args, f"set_{key}") is not None
     }
     run = load_run_config(args.config, overrides)
-    if args.seeds is not None:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-        if not seeds:
-            raise ValueError("empty --seeds list")
-    else:
-        seeds = [run.sim.rng_seed]
+    seeds = [run.sim.rng_seed] if args.seeds is None else _seed_list(args.seeds)
 
     def output(path: str | None, seed: int) -> str | None:
         if path is None:
@@ -212,6 +207,22 @@ def _cmd_simulate(args) -> int:
             f"success_rate={_fmt(last.success_rate)} penalties={last.penalties}"
         )
     return EXIT_OK
+
+
+def _seed_list(text: str) -> list[int]:
+    """The ``--seeds`` list: distinct integers, comma-separated."""
+    seeds: list[int] = []
+    for item in filter(None, map(str.strip, text.split(","))):
+        try:
+            seed = int(item)
+        except ValueError:
+            raise ConfigError("--seeds", f"{item!r} is not an integer") from None
+        if seed in seeds:
+            raise ConfigError("--seeds", f"seed {seed} is listed twice")
+        seeds.append(seed)
+    if not seeds:
+        raise ConfigError("--seeds", "empty seed list")
+    return seeds
 
 
 def _fmt(value: float | None) -> str:

@@ -30,6 +30,18 @@ Determinism: all randomness derives from ``rng_seed`` via counter-based
 stream splitting (see :mod:`trustsim.rng`) — one stream per peer for
 holdings, one stream per round for everything in that round — so a run is
 byte-reproducible from its configuration.
+
+Draw, then apply: a round's stream depends only on the seed and the round
+index, and its requester, file and volunteer set depend on nothing else
+but the population, which changes only between cycles.  So
+``run_cycle`` takes its rounds in groups of ``rng.BLOCK_GROUP``: it derives
+the group's round states and their first ``rng.BLOCK_WIDTH`` draws in lane
+passes (``derive_states``, ``first_draws``), draws every round of the group
+from those (reading draws by index, and extending a round's draws past the
+block only when it needs more), and then applies the rounds in order with
+``run_round``, which reads and changes trust.  Draw ``k`` of a round is
+output ``k`` of its stream, consumed in the order requester, file (redrawn
+while the requester holds it), volunteers, selection.
 """
 
 from __future__ import annotations
@@ -38,11 +50,21 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .game import Selection
 from .ledger import EventKind, LedgerConfig, TrustEvent, TrustLedger, UnknownPeerError
-from .rng import RANDOM_SCALE, Stream, draw_hypergeom, hypergeom_cdf
+from .rng import (
+    BLOCK_GROUP,
+    RANDOM_SCALE,
+    Stream,
+    derive_seed,
+    derive_states,
+    draw_hypergeom,
+    extend_draws,
+    first_draws,
+    hypergeom_cdf,
+)
 
 DEFAULT_VOLUNTEER_TARGET = 30.0
 
@@ -197,8 +219,7 @@ def calibrated_reach(
     return max(1, min(population - 1, round(target_volunteers / rate)))
 
 
-@dataclass(frozen=True, slots=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     """What one round did.
 
     Trust deltas: every id in ``volunteer_ids`` was credited +1 except a
@@ -263,8 +284,14 @@ class Population:
         self._cdfs = None
         return peer_id
 
-    def volunteers(self, stream: Stream, requester_id: int, file_id: int) -> list[int]:
-        """Draw one query's volunteer set.
+    def volunteers(
+        self, draws: list[int], state: int, at: int, requester_id: int, file_id: int
+    ) -> tuple[list[int], int]:
+        """Draw one query's volunteer set from ``draws[at:]``.
+
+        ``draws`` holds the first outputs of ``Stream(state)`` and is
+        extended from there when the draw needs more.  Returns the
+        volunteers and the index of the first draw not used.
 
         Equivalent in distribution to sampling ``reach`` of the other peers
         uniformly without replacement and keeping all liars plus truthful
@@ -285,33 +312,37 @@ class Population:
         pool = self.liar_pool
         requester_is_liar = self.behaviors[requester_id] is Behavior.LIAR
         liar_limit = len(pool) - 1 if requester_is_liar else len(pool)
-
-        moved = False
         if requester_is_liar:
             # Park the requester at the end of the pool so the sample prefix
             # never contains it; undone below.
             pos = self.liar_index[requester_id]
-            if pos != liar_limit:
-                pool[pos], pool[liar_limit] = pool[liar_limit], pool[pos]
-                moved = True
-        cdf = self._cdfs[1] if requester_is_liar else self._cdfs[0]
-        liar_draws = draw_hypergeom(stream, cdf) if liar_limit > 0 else 0
+            pool[pos], pool[liar_limit] = pool[liar_limit], pool[pos]
+        liar_draws = 0
+        if liar_limit > 0:
+            if at == len(draws):
+                extend_draws(draws, state, at + 1)
+            cdf = self._cdfs[1] if requester_is_liar else self._cdfs[0]
+            liar_draws = draw_hypergeom(cdf, (draws[at] >> 11) * RANDOM_SCALE)
+            at += 1
 
         # The liar draws and then one draw per holder scanned, as
-        # stream.randbelow() and stream.random() would make them: read one
-        # block ahead, then skip only the draws used.
+        # stream.randbelow() and stream.random() would make them.
         holders = self.holders_by_file[file_id]
-        draws = iter(stream.u64s(liar_draws + len(holders), advance=False))
-        # Partial Fisher-Yates with ks[i] = i + randbelow(liar_limit - i);
-        # the swaps are undone in reverse so the pool is left as it was.
-        ks = [i + ((u * (liar_limit - i)) >> 64) for i, u in zip(range(liar_draws), draws)]
-        for i, k in enumerate(ks):
+        scan = at + liar_draws
+        if len(draws) < scan + len(holders):
+            extend_draws(draws, state, scan + len(holders))
+        # Partial Fisher-Yates: swap i with ks[i] = i + randbelow(liar_limit -
+        # i); the swaps are undone in reverse so the pool is left as it was.
+        ks = []
+        for i, u in enumerate(draws[at:scan]):
+            k = i + ((u * (liar_limit - i)) >> 64)
             pool[i], pool[k] = pool[k], pool[i]
+            ks.append(k)
         volunteers = pool[:liar_draws]
         for i in range(liar_draws - 1, -1, -1):
             k = ks[i]
             pool[i], pool[k] = pool[k], pool[i]
-        if moved:
+        if requester_is_liar:
             pool[pos], pool[liar_limit] = pool[liar_limit], pool[pos]
 
         # Truthful holders: each is in the sample's remaining slots with the
@@ -319,18 +350,16 @@ class Population:
         # the non-liar peers.
         slots = self.config.reach - liar_draws
         available = self.size - 1 - liar_limit
-        used = liar_draws
         scale = RANDOM_SCALE
-        for pid, u in zip(holders, draws):
+        for pid, u in zip(holders, draws[scan:scan + len(holders)]):
             if slots <= 0:
                 break
-            used += 1
+            scan += 1
             if (u >> 11) * scale * available < slots:  # stream.random() * available
                 volunteers.append(pid)
                 slots -= 1
             available -= 1
-        stream.skip(used)
-        return volunteers
+        return volunteers, scan
 
 
 def build_population(config: SimConfig) -> Population:
@@ -351,13 +380,17 @@ def select_server(
     volunteers: list[int] | tuple[int, ...],
     ledger: TrustLedger,
     p: float,
-    stream: Stream,
+    mode_draw: int,
+    pick_draw: int,
 ) -> tuple[int, Selection]:
     """Pick the server: with probability p the volunteer of maximal trust
-    (uniform among ties), otherwise a uniformly random volunteer."""
+    (uniform among ties), otherwise a uniformly random volunteer.
+
+    ``mode_draw`` and ``pick_draw`` are two raw 64-bit draws: the mode is
+    ``random() < p`` and the pick ``randbelow(len(candidates))`` of them."""
     if not volunteers:
         raise ValueError("empty volunteer set")
-    if stream.random() < p:
+    if (mode_draw >> 11) * RANDOM_SCALE < p:
         scores = ledger.scores
         best = -math.inf
         ties: list[int] = []
@@ -368,10 +401,8 @@ def select_server(
                 ties = [pid]
             elif value == best:
                 ties.append(pid)
-        if len(ties) == 1:
-            return ties[0], Selection.BY_TRUST
-        return ties[stream.randbelow(len(ties))], Selection.BY_TRUST
-    return volunteers[stream.randbelow(len(volunteers))], Selection.RANDOM
+        return ties[(pick_draw * len(ties)) >> 64], Selection.BY_TRUST
+    return volunteers[(pick_draw * len(volunteers)) >> 64], Selection.RANDOM
 
 
 class Simulation:
@@ -395,41 +426,67 @@ class Simulation:
         return MetricsSeries(rows)
 
     def run_cycle(self, cycle: int) -> "MetricsRow":
+        """Inject the cycle's newcomers, then draw and apply its rounds in
+        groups of ``BLOCK_GROUP`` (see the module docstring)."""
         self._inject(cycle)
         config = self.config
-        seed = config.rng_seed
         size = self.population.size
+        prefix = derive_seed(config.rng_seed, "round")
         successes = failures = 0
-        for _ in range(config.queries_per_cycle):
-            stream = Stream.from_path(seed, "round", self.round_index)
-            requester = stream.randbelow(size)
-            record = self.run_round(requester, stream)
-            if record.outcome is Outcome.SUCCESS:
-                successes += 1
-            elif record.outcome is Outcome.FAILURE:
-                failures += 1
+        end = self.round_index + config.queries_per_cycle
+        for first in range(self.round_index, end, BLOCK_GROUP):
+            states = derive_states(prefix, first, min(BLOCK_GROUP, end - first))
+            drawn = []
+            for state, draws in zip(states, first_draws(states)):
+                requester = (draws[0] * size) >> 64  # stream.randbelow(size)
+                drawn.append((requester, self._draw_round(requester, state, draws, 1)))
+            for requester, round_draws in drawn:
+                outcome = self.run_round(requester, round_draws).outcome
+                if outcome is Outcome.SUCCESS:
+                    successes += 1
+                elif outcome is Outcome.FAILURE:
+                    failures += 1
         return self._metrics_row(cycle, successes, failures)
 
-    def run_round(self, requester_id: int, stream: Stream | None = None) -> RoundRecord:
+    def _draw_round(
+        self, requester_id: int, state: int, draws: list[int], at: int
+    ) -> tuple[int, list[int], int, int]:
+        """The file, the volunteers and the two selection draws of the round
+        whose stream is ``Stream(state)``, from ``draws[at:]`` (its outputs
+        from ``at`` on, extended when they run out)."""
+        holdings = self.population.holdings[requester_id]
+        catalog = self.config.catalog_size
+        while True:
+            if at == len(draws):
+                extend_draws(draws, state, at + 1)
+            file_id = (draws[at] * catalog) >> 64  # stream.randbelow(catalog)
+            at += 1
+            if file_id not in holdings:
+                break
+        volunteers, at = self.population.volunteers(draws, state, at, requester_id, file_id)
+        if len(draws) < at + 2:
+            extend_draws(draws, state, at + 2)
+        return file_id, volunteers, draws[at], draws[at + 1]
+
+    def run_round(
+        self, requester_id: int, drawn: tuple[int, list[int], int, int] | None = None
+    ) -> RoundRecord:
+        """Apply the next round for ``requester_id``: ``drawn`` is what
+        ``_draw_round`` drew for it; without it the round is drawn here from
+        the start of its stream."""
         config = self.config
         population = self.population
         ledger = self.ledger
         scores = ledger.scores
         if requester_id not in scores:
             raise UnknownPeerError(requester_id)
-        if stream is None:
-            stream = Stream.from_path(config.rng_seed, "round", self.round_index)
         round_index = self.round_index
+        if drawn is None:
+            state = derive_seed(config.rng_seed, "round", round_index)
+            drawn = self._draw_round(requester_id, state, [], 0)
         self.round_index = round_index + 1
 
-        holdings = population.holdings[requester_id]
-        catalog = config.catalog_size
-        while True:
-            file_id = stream.randbelow(catalog)
-            if file_id not in holdings:
-                break
-
-        volunteers = population.volunteers(stream, requester_id, file_id)
+        file_id, volunteers, mode_draw, pick_draw = drawn
         if not volunteers:
             return RoundRecord(
                 round_index, requester_id, file_id, (), Gate.NO_VOLUNTEERS,
@@ -443,7 +500,7 @@ class Simulation:
                 Gate.REPUTATION_ONLY, None, None, None, 0.0,
             )
 
-        selected, mode = select_server(volunteers, ledger, config.p, stream)
+        selected, mode = select_server(volunteers, ledger, config.p, mode_draw, pick_draw)
         if population.behaviors[selected] is Behavior.GOOD_SERVER:
             ledger.credit(selected, round_index, EventKind.SELECTED_TRUTHFUL_CREDIT)
             ledger.credit_many(

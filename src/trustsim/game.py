@@ -268,10 +268,16 @@ def recommend_threshold(j: int, p: float, epsilon: float) -> int:
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must be within (0, 1]")
     base = (j + p - 1) / j
-    if base <= 0.0:
-        return 1
-    # Log-space guess, then settle the boundary with the real function.
-    streak = max(0, math.ceil(math.log(epsilon) / math.log(base)) if epsilon < 1.0 else 0)
+    if base >= 1.0 and epsilon < 1.0:
+        raise ValueError(
+            "calibration infeasible: p is so close to 1 that the per-round "
+            "credit probability (j + p - 1) / j rounds to 1"
+        )
+    # Log-space guess, then settle the boundary with the real function.  At
+    # base 0 only streak 0 escapes (0**0 == 1).
+    streak = 0
+    if 0.0 < base < 1.0 and epsilon < 1.0:
+        streak = math.ceil(math.log(epsilon) / math.log(base))
     while streak > 0 and escape_probability(j, p, streak - 1) <= epsilon:
         streak -= 1
     while escape_probability(j, p, streak) > epsilon:

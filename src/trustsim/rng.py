@@ -24,8 +24,8 @@ scheme can be reimplemented exactly:
   ``(next_u64() * n) >> 64``.  Its bias is below ``n / 2**64``, which is
   negligible for every n used here (all far below 2**32).
 * Skip rule: the state after ``k`` draws is ``(state + k * GOLDEN) mod
-  2**64``, so ``skip(k)`` moves there at once, and the ``k``-th output
-  from ``state`` is ``mix64((state + k * GOLDEN) mod 2**64)``.
+  2**64``, and the ``k``-th output from ``state`` is ``mix64((state + k *
+  GOLDEN) mod 2**64)``.
 * Block draws: ``u64s(count)`` returns the next ``count`` outputs, all
   computed in one Python int of ``width >= count`` lanes of 128 bits.
   Lane ``i`` (bits ``128*i`` and up) starts as ``state + (i + 1) *
@@ -40,12 +40,27 @@ scheme can be reimplemented exactly:
   ``int.to_bytes`` as little-endian words, every second word.  Widths
   come from the fixed list ``_WIDTHS``; a longer block than the widest is
   made in pieces of that many lanes.
+* Batched derivation: the streams of the paths ``(*path, start + i)``,
+  ``i < count``, share the prefix ``prefix = derive_seed(master, *path)``,
+  so ``derive_states`` computes them as ``mix64(prefix XOR mix64((start +
+  i + GOLDEN) mod 2**64))`` with ``start + i`` in lane ``i``, both
+  finalizer passes over all the lanes at once.
+* Multi-state blocks: ``first_draws`` computes the first ``BLOCK_WIDTH``
+  outputs of each of up to ``BLOCK_GROUP`` states in one pass.  State
+  ``g`` fills lanes ``g * BLOCK_WIDTH`` to ``(g + 1) * BLOCK_WIDTH - 1``:
+  the int is built from the bytes of its 128-bit lane repeated, with no
+  multiply.  Adding the lane steps ``(k + 1) * GOLDEN`` (lane ``k`` of each
+  state's lanes) then gives the block rule above, per state.  Output
+  ``k >= BLOCK_WIDTH`` of that stream is output ``k - BLOCK_WIDTH`` of
+  ``Stream(state + BLOCK_WIDTH * GOLDEN)``; ``extend_draws`` continues a
+  block that way.
 """
 
 from __future__ import annotations
 
 import struct
 from bisect import bisect_left
+from collections.abc import Iterator
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -53,6 +68,13 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # returns.
 _WIDTHS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512)
 _MAX_LANES = _WIDTHS[-1]
+# first_draws: outputs per state and states per pass.  A desk round uses
+# about 50 draws, and 64 cover 98.5% of desk rounds.  A pass of 16 states
+# (a 1,024-lane int of 16 KB) is as fast per round as one of 32, and keeps
+# fewer temporaries and draws alive at once: with 32, peak memory rose by
+# about 1 MB in some runs.
+BLOCK_WIDTH = 64
+BLOCK_GROUP = 16
 # random() is (next_u64() >> 11) * RANDOM_SCALE, a float in [0, 1).
 RANDOM_SCALE = 2.0**-53
 
@@ -62,6 +84,14 @@ def mix64(value: int) -> int:
     z = value & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _mix_lanes(z: int, mask: int) -> int:
+    """``mix64`` of every 128-bit lane of ``z``, whose lanes are below
+    2**64.  Only the low halves of the result's lanes are the outputs."""
+    z = (((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
+    z = (((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB) & mask
     return z ^ (z >> 31)
 
 
@@ -86,6 +116,12 @@ def _block_table() -> list[tuple[struct.Struct, int, int, int]]:
 
 
 _BLOCKS = _block_table()
+# first_draws: the lane steps and the lane mask of a whole group, and the
+# reader of one state's lanes.
+_GROUP_STEPS = _packed([(k * _GOLDEN) & _MASK64 for k in range(1, BLOCK_WIDTH + 1)] * BLOCK_GROUP)
+_GROUP_MASK = _packed([_MASK64] * (BLOCK_GROUP * BLOCK_WIDTH))
+_STATE_READER = struct.Struct("<" + "Q8x" * BLOCK_WIDTH)
+_INDEX = _packed(list(range(BLOCK_GROUP)))  # derive_states: i in lane i
 
 
 def _fnv64(text: str) -> int:
@@ -102,6 +138,52 @@ def derive_seed(master_seed: int, *path: int | str) -> int:
         token = _fnv64(part) if isinstance(part, str) else part & _MASK64
         state = mix64(state ^ mix64((token + _GOLDEN) & _MASK64))
     return state
+
+
+def derive_states(prefix: int, start: int, count: int) -> list[int]:
+    """``derive_seed(master, *path, start + i)`` for ``i < count``, given
+    ``prefix = derive_seed(master, *path)``; ``BLOCK_GROUP`` paths per pass
+    (see the module docstring)."""
+    if count < 0:
+        raise ValueError("derive_states requires count >= 0")
+    states: list[int] = []
+    for first in range(start, start + count, BLOCK_GROUP):
+        lanes = min(start + count - first, BLOCK_GROUP)
+        reader, ones, _, mask = _BLOCKS[lanes]
+        z = ((first + _GOLDEN) * ones + (_INDEX & mask)) & mask  # lane i: first + i + GOLDEN
+        z = _mix_lanes((_mix_lanes(z, mask) & mask) ^ (prefix * ones), mask)
+        states += reader.unpack(z.to_bytes(reader.size, "little"))[:lanes]
+    return states
+
+
+def first_draws(states: list[int]) -> Iterator[list[int]]:
+    """The first ``BLOCK_WIDTH`` outputs of ``Stream(state)`` for each state,
+    ``BLOCK_GROUP`` states per pass (see the module docstring).  Each
+    state's list is made when it is reached, so a caller that drops it
+    before taking the next keeps one state's draws alive, not a pass's."""
+    reader = _STATE_READER
+    for first in range(0, len(states), BLOCK_GROUP):
+        group = states[first:first + BLOCK_GROUP]
+        size = reader.size * len(group)
+        cut = 8 * reader.size * (BLOCK_GROUP - len(group))  # the lanes of absent states
+        lanes = b"".join([state.to_bytes(16, "little") * BLOCK_WIDTH for state in group])
+        z = int.from_bytes(lanes, "little")
+        mask = _GROUP_MASK >> cut
+        z = _mix_lanes((z + (_GROUP_STEPS >> cut)) & mask, mask)
+        buf = z.to_bytes(size, "little")
+        for at in range(0, size, reader.size):
+            yield list(reader.unpack_from(buf, at))
+
+
+def extend_draws(draws: list[int], state: int, count: int) -> None:
+    """Extend ``draws``, the first outputs of ``Stream(state)``, to at least
+    its first ``count`` outputs: to the end of the lane width that holds
+    them, which the block computes anyway."""
+    more = count - len(draws)
+    if more > 0:
+        if more < _MAX_LANES:
+            more = _WIDTHS[bisect_left(_WIDTHS, more)]
+        draws += Stream(state + len(draws) * _GOLDEN).u64s(more)
 
 
 class Stream:
@@ -140,11 +222,9 @@ class Stream:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return ((z ^ (z >> 31)) * n) >> 64
 
-    def u64s(self, count: int, advance: bool = True) -> list[int]:
+    def u64s(self, count: int) -> list[int]:
         """The next ``count`` outputs of ``next_u64``, computed as one block
-        (see the module docstring).  With ``advance=False`` the stream stays
-        where it was, so a caller can read ahead and ``skip`` only the draws
-        it used."""
+        (see the module docstring)."""
         if count < 0:
             raise ValueError("u64s requires count >= 0")
         state = self._state
@@ -152,21 +232,11 @@ class Stream:
         for start in range(0, count, _MAX_LANES):
             lanes = min(count - start, _MAX_LANES)
             reader, ones, steps, mask = _BLOCKS[lanes]
-            z = (state * ones + steps) & mask
-            z = (((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
-            z = (((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB) & mask
-            z ^= z >> 31
+            z = _mix_lanes((state * ones + steps) & mask, mask)
             out += reader.unpack(z.to_bytes(reader.size, "little"))[:lanes]
             state = (state + lanes * _GOLDEN) & _MASK64
-        if advance:
-            self._state = state
+        self._state = state
         return out
-
-    def skip(self, count: int) -> None:
-        """Advance past ``count`` draws, as ``count`` calls of ``next_u64``."""
-        if count < 0:
-            raise ValueError("skip requires count >= 0")
-        self._state = (self._state + count * _GOLDEN) & _MASK64
 
 
 def hypergeom_cdf(total: int, tagged: int, draws: int) -> tuple[int, list[float]]:
@@ -208,6 +278,7 @@ def hypergeom_cdf(total: int, tagged: int, draws: int) -> tuple[int, list[float]
     return kmin, cdf
 
 
-def draw_hypergeom(stream: Stream, cdf_pair: tuple[int, list[float]]) -> int:
+def draw_hypergeom(cdf_pair: tuple[int, list[float]], u: float) -> int:
+    """The count whose CDF interval holds ``u``, a uniform float in [0, 1)."""
     kmin, cdf = cdf_pair
-    return kmin + bisect_left(cdf, stream.random())
+    return kmin + bisect_left(cdf, u)

@@ -193,6 +193,20 @@ def test_seed_suffix_goes_on_the_file_name(path, seed, expected):
     assert _with_seed_suffix(path, seed) == expected
 
 
+def test_simulate_duplicate_seed_is_config_error(tmp_path, capsys, monkeypatch):
+    _forbid_simulation(monkeypatch)
+    path, _ = write_config(tmp_path)
+    assert run_cli("simulate", str(path), "--seeds", "1, 2,1") == 2
+    assert "error: --seeds: seed 1 is listed twice" in capsys.readouterr().err
+
+
+def test_simulate_non_integer_seed_is_config_error(tmp_path, capsys, monkeypatch):
+    _forbid_simulation(monkeypatch)
+    path, _ = write_config(tmp_path)
+    assert run_cli("simulate", str(path), "--seeds", "1,x") == 2
+    assert "error: --seeds: 'x' is not an integer" in capsys.readouterr().err
+
+
 def test_simulate_seed_list_writes_one_csv_per_seed(tmp_path, capsys):
     path, _ = write_config(tmp_path)
     assert run_cli("simulate", str(path), "--seeds", "1,2") == 0

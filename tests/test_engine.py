@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trustsim import engine
 from trustsim.engine import (
     Behavior,
     ConfigError,
@@ -13,6 +15,7 @@ from trustsim.engine import (
     MetricsRow,
     MetricsSeries,
     Outcome,
+    RoundRecord,
     SchemaError,
     SimConfig,
     Simulation,
@@ -24,7 +27,7 @@ from trustsim.engine import (
 )
 from trustsim.game import Selection
 from trustsim.ledger import EventKind, LedgerConfig, TrustLedger
-from trustsim.rng import Stream, draw_hypergeom, hypergeom_cdf
+from trustsim.rng import BLOCK_GROUP, Stream, draw_hypergeom, hypergeom_cdf
 
 
 def small_config(**overrides):
@@ -157,7 +160,7 @@ def _ledger_with(scores: dict[int, float]) -> TrustLedger:
 def test_select_server_by_trust_takes_argmax():
     ledger = _ledger_with({1: 5.0, 2: 2.0, 3: 9.0})
     for seed in range(20):
-        pid, mode = select_server([1, 2, 3], ledger, 1.0, Stream.from_path(seed))
+        pid, mode = select_server([1, 2, 3], ledger, 1.0, *Stream.from_path(seed).u64s(2))
         assert (pid, mode) == (3, Selection.BY_TRUST)
 
 
@@ -165,8 +168,8 @@ def test_select_server_tie_break_uniform_over_seeds():
     ledger = _ledger_with({1: 7.0, 2: 7.0})
     picks = []
     for seed in range(2000):
-        pid, _ = select_server([1, 2], ledger, 1.0, Stream.from_path(seed, "tie"))
-        repeat, _ = select_server([1, 2], ledger, 1.0, Stream.from_path(seed, "tie"))
+        pid, _ = select_server([1, 2], ledger, 1.0, *Stream.from_path(seed, "tie").u64s(2))
+        repeat, _ = select_server([1, 2], ledger, 1.0, *Stream.from_path(seed, "tie").u64s(2))
         assert pid == repeat  # deterministic per seed
         picks.append(pid)
     ones = picks.count(1)
@@ -180,7 +183,7 @@ def test_select_server_random_is_uniform():
     counts = {1: 0, 2: 0, 3: 0}
     trials = 30_000
     for _ in range(trials):
-        pid, mode = select_server([1, 2, 3], ledger, 0.0, stream)
+        pid, mode = select_server([1, 2, 3], ledger, 0.0, *stream.u64s(2))
         assert mode is Selection.RANDOM
         counts[pid] += 1
     sigma = math.sqrt(trials * (1 / 3) * (2 / 3))
@@ -190,17 +193,16 @@ def test_select_server_random_is_uniform():
 
 def test_select_server_rejects_empty():
     with pytest.raises(ValueError):
-        select_server([], _ledger_with({}), 0.5, Stream.from_path(1))
+        select_server([], _ledger_with({}), 0.5, 0, 0)
 
 
 def test_select_server_invariant_under_increasing_transform():
     raw = {1: 1.0, 2: 3.0, 3: 3.0, 4: 0.5}
     transformed = {pid: math.exp(value) for pid, value in raw.items()}
     for seed in range(200):
-        a, _ = select_server([1, 2, 3, 4], _ledger_with(raw), 1.0,
-                             Stream.from_path(seed, "mono"))
-        b, _ = select_server([1, 2, 3, 4], _ledger_with(transformed), 1.0,
-                             Stream.from_path(seed, "mono"))
+        draws = Stream.from_path(seed, "mono").u64s(2)
+        a, _ = select_server([1, 2, 3, 4], _ledger_with(raw), 1.0, *draws)
+        b, _ = select_server([1, 2, 3, 4], _ledger_with(transformed), 1.0, *draws)
         assert a == b
 
 
@@ -313,6 +315,14 @@ def test_round_unknown_requester_rejected():
 # --- volunteer sampling ---
 
 
+def draw_volunteers(population, stream, requester, file_id):
+    """``Population.volunteers`` with the draws of ``stream`` from its state
+    on; the stream then moves past the draws used, as scalar draws would."""
+    volunteers, used = population.volunteers([], stream._state, 0, requester, file_id)
+    stream.u64s(used)
+    return volunteers
+
+
 def test_truthful_volunteers_always_hold_the_file():
     cfg = small_config(good_founders=40, bad_founders=5, liar_founders=10,
                        catalog_size=100, n=10, reach=20, threshold=1e9)
@@ -380,7 +390,7 @@ def test_volunteer_draw_matches_reference():
     fast_liar_counts: dict[int, int] = {}
     stream = Stream.from_path(99, "fast")
     for _ in range(trials):
-        volunteers = sim.population.volunteers(stream, requester, file_id)
+        volunteers = draw_volunteers(sim.population, stream, requester, file_id)
         liars = 0
         for pid in volunteers:
             fast_counts[pid] = fast_counts.get(pid, 0) + 1
@@ -423,7 +433,7 @@ def test_volunteer_draw_excludes_liar_requester():
     liar = sim.population.liar_pool[0]
     stream = Stream.from_path(5, "self")
     for _ in range(500):
-        volunteers = sim.population.volunteers(stream, liar, 0)
+        volunteers = draw_volunteers(sim.population, stream, liar, 0)
         assert liar not in volunteers
 
 
@@ -453,7 +463,7 @@ def test_volunteer_draw_properties(case):
     population, requester, file_id, seed = case
     reach = population.config.reach
     pool_before = list(population.liar_pool)
-    volunteers = population.volunteers(Stream.from_path(seed, "prop"), requester, file_id)
+    volunteers = draw_volunteers(population, Stream.from_path(seed, "prop"), requester, file_id)
 
     assert len(set(volunteers)) == len(volunteers) <= reach
     assert requester not in volunteers
@@ -480,7 +490,7 @@ def scalar_volunteers(population, stream, requester_id, file_id):
         pool[pos], pool[liar_limit] = pool[liar_limit], pool[pos]
     liar_draws = 0
     if liar_limit > 0:
-        liar_draws = draw_hypergeom(stream, hypergeom_cdf(others, liar_limit, reach))
+        liar_draws = draw_hypergeom(hypergeom_cdf(others, liar_limit, reach), stream.random())
     for i in range(liar_draws):
         k = i + stream.randbelow(liar_limit - i)
         pool[i], pool[k] = pool[k], pool[i]
@@ -503,7 +513,7 @@ def test_volunteer_draw_equals_scalar_reference(case):
     population, requester, file_id, seed = case
     block, scalar = Stream.from_path(seed, "prop"), Stream.from_path(seed, "prop")
     expected = scalar_volunteers(population, scalar, requester, file_id)
-    assert population.volunteers(block, requester, file_id) == expected
+    assert draw_volunteers(population, block, requester, file_id) == expected
     assert block._state == scalar._state
 
 
@@ -522,13 +532,181 @@ def test_volunteer_draw_equals_scalar_reference_in_edge_cases():
                     block = Stream.from_path(seed, "edge", requester)
                     scalar = Stream.from_path(seed, "edge", requester)
                     expected = scalar_volunteers(population, scalar, requester, file_id)
-                    got = population.volunteers(block, requester, file_id)
+                    got = draw_volunteers(population, block, requester, file_id)
                     assert got == expected and block._state == scalar._state
                     # The scan stopped early: the slots ran out before the
                     # last holder was reached.
                     holders = population.holders_by_file[file_id]
                     early_stops += bool(holders) and len(got) == reach and holders[-1] != got[-1]
     assert early_stops > 0
+
+
+# --- draw, then apply: run_cycle against one scalar stream per round ---
+
+
+def scalar_cycle(sim, cycle, records, cases):
+    """One cycle with one ``Stream.from_path`` per round and one scalar draw
+    at a time: the reference for ``Simulation.run_cycle``.  Appends each
+    round's record to ``records`` and counts file re-draws and liar
+    requesters in ``cases``."""
+    sim._inject(cycle)
+    config, population, ledger = sim.config, sim.population, sim.ledger
+    scores = ledger.scores
+    successes = failures = 0
+    for _ in range(config.queries_per_cycle):
+        index = sim.round_index
+        sim.round_index += 1
+        stream = Stream.from_path(config.rng_seed, "round", index)
+        requester = stream.randbelow(population.size)
+        cases["liar requesters"] += population.behaviors[requester] is Behavior.LIAR
+        file_id = stream.randbelow(config.catalog_size)
+        while file_id in population.holdings[requester]:
+            cases["file re-draws"] += 1
+            file_id = stream.randbelow(config.catalog_size)
+        volunteers = scalar_volunteers(population, stream, requester, file_id)
+        if not volunteers:
+            records.append(RoundRecord(index, requester, file_id, (), Gate.NO_VOLUNTEERS,
+                                       None, None, None, 0.0))
+            continue
+        if scores[requester] < config.threshold:
+            ledger.credit_many(volunteers, index)
+            records.append(RoundRecord(index, requester, file_id, tuple(volunteers),
+                                       Gate.REPUTATION_ONLY, None, None, None, 0.0))
+            continue
+        if stream.random() < config.p:
+            best = max(scores[pid] for pid in volunteers)
+            ties = [pid for pid in volunteers if scores[pid] == best]
+            selected, mode = ties[stream.randbelow(len(ties))], Selection.BY_TRUST
+        else:
+            selected, mode = volunteers[stream.randbelow(len(volunteers))], Selection.RANDOM
+        others = [pid for pid in volunteers if pid != selected]
+        delta = 0.0
+        if population.behaviors[selected] is Behavior.GOOD_SERVER:
+            ledger.credit(selected, index, EventKind.SELECTED_TRUTHFUL_CREDIT)
+            outcome = Outcome.SUCCESS
+            successes += 1
+        else:
+            before = scores[selected]
+            delta = ledger.penalize(selected, index) - before
+            outcome = Outcome.FAILURE
+            failures += 1
+        ledger.credit_many(others, index)
+        records.append(RoundRecord(index, requester, file_id, tuple(volunteers), Gate.SERVED,
+                                   mode, selected, outcome, delta))
+    return sim._metrics_row(cycle, successes, failures)
+
+
+def check_run_cycle_against_scalar(config):
+    """Run ``config`` through ``run_cycle`` and through ``scalar_cycle``;
+    both must give the same rows, records, events and scores.  Returns
+    the cases seen, including the rounds ``run_cycle`` drew past their
+    first block."""
+    cases = {"file re-draws": 0, "liar requesters": 0, "block extensions": 0}
+    extend = engine.extend_draws
+
+    def counting_extend(*args):
+        cases["block extensions"] += 1
+        extend(*args)
+
+    events = []
+    sim = Simulation(config, event_sink=events.append)
+    records = []
+    apply = sim.run_round
+    sim.run_round = lambda *args: records.append(apply(*args)) or records[-1]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "extend_draws", counting_extend)
+        rows = [sim.run_cycle(cycle) for cycle in range(config.total_cycles)]
+
+    ref_events = []
+    ref = Simulation(config, event_sink=ref_events.append)
+    ref_records = []
+    ref_rows = [scalar_cycle(ref, cycle, ref_records, cases)
+                for cycle in range(config.total_cycles)]
+    assert records == ref_records
+    assert rows == ref_rows
+    assert events == ref_events
+    assert sim.ledger.scores == ref.ledger.scores
+    assert MetricsSeries(rows).to_csv() == MetricsSeries(ref_rows).to_csv()
+    assert len(records) == config.queries_per_cycle * config.total_cycles
+    return cases
+
+
+@st.composite
+def cycle_configs(draw):
+    """Small runs: any mix of founders (zero liars included), newcomers of
+    any behavior, any reach and gate, and cycles of any number of rounds."""
+    good, bad, liars = (draw(st.integers(0, 40)) for _ in range(3))
+    if good + bad + liars < 2:
+        good += 2
+    n = draw(st.integers(2, 4))
+    newcomers = tuple(
+        Injection(draw(st.integers(0, 2)), draw(st.integers(1, 4)), draw(st.sampled_from(Behavior)))
+        for _ in range(draw(st.integers(0, 2)))
+    )
+    return small_config(
+        good_founders=good, bad_founders=bad, liar_founders=liars,
+        catalog_size=draw(st.integers(n + 1, 16)), n=n,
+        reach=draw(st.integers(1, good + bad + liars - 1)),
+        p=draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])),
+        penalty=draw(st.sampled_from([1.0, 3.0, 30.0])),
+        threshold=draw(st.sampled_from([0.0, 1.0, 3.0])),
+        queries_per_cycle=draw(st.integers(1, 2 * BLOCK_GROUP + 3)),
+        total_cycles=3, newcomers=newcomers, rng_seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(cycle_configs())
+def test_run_cycle_equals_scalar_reference(config):
+    check_run_cycle_against_scalar(config)
+
+
+def test_run_cycle_equals_scalar_reference_in_edge_cases():
+    """Rounds that need more than the block's draws (about 60 holders per
+    file), file re-draws (a requester holds half the catalog), liar
+    requesters, and zero liars: each must occur."""
+    many_holders = dict(good_founders=100, bad_founders=20, catalog_size=12, n=2, reach=80)
+    seen = {}
+    for config in (
+        small_config(liar_founders=10, **many_holders),
+        small_config(liar_founders=0, **many_holders),
+        small_config(good_founders=6, bad_founders=2, liar_founders=20, reach=15,
+                     newcomers=(Injection(1, 5, Behavior.LIAR),)),
+    ):
+        config = dataclasses.replace(config, threshold=1.0, p=0.7, queries_per_cycle=40,
+                                     total_cycles=3)
+        cases = check_run_cycle_against_scalar(config)
+        if config.liar_founders == 0:
+            cases["zero liars"] = 1
+        for case, count in cases.items():
+            seen[case] = seen.get(case, 0) + count
+    assert set(seen) == {"file re-draws", "liar requesters", "block extensions",
+                         "zero liars"}
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("queries", [5, BLOCK_GROUP + 1, 2 * BLOCK_GROUP + 7])
+def test_cycle_draws_in_groups_of_bounded_size(monkeypatch, queries):
+    """The lane passes of a cycle take at most ``BLOCK_GROUP`` rounds, so
+    their ints do not grow with ``queries_per_cycle``: here fewer rounds
+    than one group, and counts that are not a multiple of it."""
+    sizes = []
+    derive, first = engine.derive_states, engine.first_draws
+
+    def derive_states(prefix, start, count):
+        sizes.append(count)
+        return derive(prefix, start, count)
+
+    def first_draws(states):
+        sizes.append(len(states))
+        return first(states)
+
+    monkeypatch.setattr(engine, "derive_states", derive_states)
+    monkeypatch.setattr(engine, "first_draws", first_draws)
+    config = small_config(queries_per_cycle=queries, total_cycles=3)
+    check_run_cycle_against_scalar(config)
+    assert max(sizes) == min(queries, BLOCK_GROUP)
+    assert sum(sizes) == 2 * queries * config.total_cycles
 
 
 # --- whole runs ---

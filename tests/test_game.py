@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustsim.game import (
     GameMatrix,
@@ -180,9 +182,39 @@ def test_recommend_threshold_is_exact_inversion():
             assert escape_probability(30, 0.9, streak - 1) > epsilon
 
 
+@settings(max_examples=500, deadline=None)
+@given(
+    st.integers(1, 10**4),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_recommend_threshold_is_the_smallest_valid_threshold(j, p, epsilon):
+    if escape_probability(j, p, 1) == 1.0 and epsilon < 1.0:
+        # p so close to 1 that the per-round escape rounds to certainty:
+        # no threshold is valid.
+        with pytest.raises(ValueError, match="infeasible"):
+            recommend_threshold(j, p, epsilon)
+        return
+    threshold = recommend_threshold(j, p, epsilon)
+    assert threshold >= 1
+    assert escape_probability(j, p, threshold - 1) <= epsilon
+    if threshold > 1:
+        assert escape_probability(j, p, threshold - 2) > epsilon
+
+
+def test_recommend_threshold_at_zero_credit_probability():
+    # j = 1, p = 0: a liar is penalized every round, so streak 0 (which
+    # always escapes) is too short for any epsilon below 1.
+    assert recommend_threshold(1, 0.0, 0.01) == 2
+    assert recommend_threshold(1, 5e-324, 0.5) == 2
+    assert recommend_threshold(1, 0.0, 1.0) == 1
+
+
 def test_recommend_threshold_rejects_bad_inputs():
     with pytest.raises(ValueError, match="infeasible"):
         recommend_threshold(30, 1.0, 0.01)
+    with pytest.raises(ValueError, match="infeasible"):
+        recommend_threshold(10**4, 0.9999999999999999, 0.5)  # used to divide by zero
     with pytest.raises(ValueError):
         recommend_threshold(30, 0.9, 0.0)
     with pytest.raises(ValueError):

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trustsim.ledger import (
     EventCsvSink,
@@ -132,6 +134,51 @@ def test_replay_reproduces_live_scores():
             ledger.credit(pid, round_index)
     replayed = TrustLedger.replay(events, ledger.config, peers)
     assert replayed == ledger.scores
+
+
+CREDIT_KINDS = st.sampled_from([EventKind.VOLUNTEER_CREDIT, EventKind.SELECTED_TRUTHFUL_CREDIT])
+# Ledger calls; peer numbers are taken modulo the peers registered so far.
+LEDGER_CALLS = st.lists(
+    st.one_of(
+        st.tuples(st.just("register")),
+        st.tuples(st.just("credit"), st.integers(0, 40), CREDIT_KINDS),
+        st.tuples(st.just("credit_many"), st.lists(st.integers(0, 40), max_size=6), CREDIT_KINDS),
+        st.tuples(st.just("penalize"), st.integers(0, 40)),
+    ),
+    max_size=150,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    penalty=st.floats(0.25, 20.0),
+    floor=st.floats(-5.0, 5.0),
+    founders=st.integers(1, 5),
+    calls=LEDGER_CALLS,
+)
+@example(  # a penalty clamped at the floor, and a peer registered mid-run
+    penalty=10.0, floor=0.0, founders=1,
+    calls=[("credit", 0, EventKind.VOLUNTEER_CREDIT), ("register",),
+           ("credit_many", [0, 1, 1], EventKind.VOLUNTEER_CREDIT), ("penalize", 0)],
+)
+def test_replay_of_recorded_events_reproduces_live_scores(penalty, floor, founders, calls):
+    events = []
+    ledger = make_ledger(penalty=penalty, threshold=floor, floor=floor, event_sink=events.append)
+    peers = 0
+    for _ in range(founders):
+        ledger.register(peers)
+        peers += 1
+    for round_index, (name, *args) in enumerate(calls):
+        if name == "register":
+            ledger.register(peers)
+            peers += 1
+        elif name == "credit":
+            ledger.credit(args[0] % peers, round_index, args[1])
+        elif name == "credit_many":
+            ledger.credit_many([pid % peers for pid in args[0]], round_index, args[1])
+        else:
+            ledger.penalize(args[0] % peers, round_index)
+    assert TrustLedger.replay(events, ledger.config, range(peers)) == ledger.scores
 
 
 def test_credits_commute():

@@ -5,7 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trustsim.rng import _WIDTHS, Stream, derive_seed, draw_hypergeom, hypergeom_cdf
+from trustsim.rng import (
+    _WIDTHS,
+    BLOCK_GROUP,
+    BLOCK_WIDTH,
+    Stream,
+    derive_seed,
+    derive_states,
+    draw_hypergeom,
+    extend_draws,
+    first_draws,
+    hypergeom_cdf,
+)
 
 
 def test_same_path_same_sequence():
@@ -51,20 +62,17 @@ def test_randbelow_rejects_nonpositive():
         stream.randbelow(0)
 
 
-def _check_block(state: int, count: int, advance: bool) -> None:
-    """u64s and skip against the scalar generator, their specification."""
+def _check_block(state: int, count: int) -> None:
+    """u64s against the scalar generator, its specification."""
     block, scalar = Stream(state), Stream(state)
-    assert block.u64s(count, advance=advance) == [scalar.next_u64() for _ in range(count)]
-    assert block._state == (scalar._state if advance else state)
-    skipped = Stream(state)
-    skipped.skip(count)
-    assert skipped._state == scalar._state
+    assert block.u64s(count) == [scalar.next_u64() for _ in range(count)]
+    assert block._state == scalar._state
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2**64 - 1), st.integers(0, 600), st.booleans())
-def test_block_draws_equal_scalar_draws(state, count, advance):
-    _check_block(state, count, advance)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 600))
+def test_block_draws_equal_scalar_draws(state, count):
+    _check_block(state, count)
 
 
 def test_block_draws_cover_every_lane_width():
@@ -75,8 +83,7 @@ def test_block_draws_cover_every_lane_width():
         widest + 1, 2 * widest, 2 * widest + 7}
     for state in (0, 2**64 - 1, 0x9E3779B97F4A7C15 * 3 % 2**64):
         for count in sorted(counts):
-            for advance in (True, False):
-                _check_block(state, count, advance)
+            _check_block(state, count)
 
 
 def test_block_draws_reject_negative_counts():
@@ -84,7 +91,47 @@ def test_block_draws_reject_negative_counts():
     with pytest.raises(ValueError):
         stream.u64s(-1)
     with pytest.raises(ValueError):
-        stream.skip(-1)
+        derive_states(0, 0, -1)
+
+
+GROUP_COUNTS = st.sampled_from([0, 1, BLOCK_GROUP - 1, BLOCK_GROUP, BLOCK_GROUP + 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64 - 2 * BLOCK_GROUP, 2**64 - 1)),
+    st.one_of(GROUP_COUNTS, st.integers(0, 3 * BLOCK_GROUP + 5)),
+)
+def test_derived_states_equal_derive_seed(seed, start, count):
+    # Starts near 2**64 put indexes past it in the same pass; derive_seed
+    # takes an int part modulo 2**64, and so do the lanes.
+    prefix = derive_seed(seed, "round")
+    assert derive_states(prefix, start, count) == [
+        derive_seed(seed, "round", start + i) for i in range(count)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(GROUP_COUNTS, st.integers(0, 3 * BLOCK_GROUP + 5)).flatmap(
+        lambda count: st.lists(
+            st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**64 - 1])),
+            min_size=count, max_size=count,
+        )
+    )
+)
+def test_first_draws_equal_block_draws_per_state(states):
+    assert list(first_draws(states)) == [Stream(state).u64s(BLOCK_WIDTH) for state in states]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2 * BLOCK_WIDTH), st.integers(0, 700))
+def test_extended_draws_continue_the_stream(state, have, count):
+    draws = Stream(state).u64s(have)
+    extend_draws(draws, state, count)
+    assert len(draws) >= max(have, count)
+    assert draws == Stream(state).u64s(len(draws))
 
 
 def _exact_pmf(total, tagged, draws):
@@ -125,7 +172,7 @@ def test_draw_hypergeom_frequencies():
     trials = 40_000
     counts: dict[int, int] = {}
     for _ in range(trials):
-        k = draw_hypergeom(stream, cdf_pair)
+        k = draw_hypergeom(cdf_pair, stream.random())
         counts[k] = counts.get(k, 0) + 1
     for k, prob in exact.items():
         sigma = math.sqrt(trials * prob * (1 - prob))
