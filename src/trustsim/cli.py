@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     liar.add_argument("--penalty", type=_real, required=True)
     liar.add_argument("--j", type=int, required=True)
     liar.add_argument("--trials", type=_count, default=1_000_000)
-    liar.add_argument("--seed", type=int, default=0)
+    liar.add_argument("--seed", type=_seed, default=0)
     liar.add_argument("--sigmas", type=_real, default=4.0)
     liar.set_defaults(handler=_cmd_oracle_liar)
     escape = orc_sub.add_parser("escape", help="liar escape frequency estimate")
@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     escape.add_argument("--p", type=_real, required=True)
     escape.add_argument("--streak", type=int, required=True)
     escape.add_argument("--trials", type=_count, default=100_000)
-    escape.add_argument("--seed", type=int, default=0)
+    escape.add_argument("--seed", type=_seed, default=0)
     escape.add_argument("--sigmas", type=_real, default=4.0)
     escape.set_defaults(handler=_cmd_oracle_escape)
 
@@ -113,6 +113,14 @@ def _real(text: str) -> float:
 
 def _count(text: str) -> int:
     return int(_real(text))  # accepts 1e6
+
+
+def _seed(text: str) -> int:
+    """A seed within [0, 2**64); streams use a seed modulo 2**64."""
+    seed = int(text)
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"expected a seed within [0, 2**64), got {text!r}")
+    return seed
 
 
 def _cmd_analyze(args) -> int:
@@ -210,13 +218,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _seed_list(text: str) -> list[int]:
-    """The ``--seeds`` list: distinct integers, comma-separated."""
+    """The ``--seeds`` list: distinct seeds, comma-separated."""
     seeds: list[int] = []
     for item in filter(None, map(str.strip, text.split(","))):
         try:
             seed = int(item)
         except ValueError:
             raise ConfigError("--seeds", f"{item!r} is not an integer") from None
+        if not 0 <= seed < 2**64:
+            raise ConfigError("--seeds", f"seed {seed} is outside [0, 2**64)")
         if seed in seeds:
             raise ConfigError("--seeds", f"seed {seed} is listed twice")
         seeds.append(seed)

@@ -3,7 +3,7 @@
 A population of behaviorally fixed peers plays repeated query rounds.
 Peer ids are dense (0..N-1, founders first in the order good, bad, liar,
 then newcomers as they join), so an id is also the index into every
-per-peer list.  Each round:
+per-peer list, the ledger's ``scores`` included.  Each round:
 
 1. A requester, drawn uniformly from the peers, picks a uniformly
    random file it does not hold.
@@ -37,11 +37,12 @@ but the population, which changes only between cycles.  So
 ``run_cycle`` takes its rounds in groups of ``rng.BLOCK_GROUP``: it derives
 the group's round states and their first ``rng.BLOCK_WIDTH`` draws in lane
 passes (``derive_states``, ``first_draws``), draws every round of the group
-from those (reading draws by index, and extending a round's draws past the
-block only when it needs more), and then applies the rounds in order with
-``run_round``, which reads and changes trust.  Draw ``k`` of a round is
-output ``k`` of its stream, consumed in the order requester, file (redrawn
-while the requester holds it), volunteers, selection.
+from those with ``draw_round`` (reading draws by index, and extending a
+round's draws past the block only when it needs more), and then applies
+the rounds in order with ``run_round``, which reads and changes trust.
+Draw ``k`` of a round is output ``k`` of its stream, consumed in the order
+requester, file (redrawn while the requester holds it), volunteers,
+selection.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from enum import Enum
 from typing import Callable, NamedTuple
 
 from .game import Selection
-from .ledger import EventKind, LedgerConfig, TrustEvent, TrustLedger, UnknownPeerError
+from .ledger import EventKind, LedgerConfig, TrustEvent, TrustLedger
 from .rng import (
     BLOCK_GROUP,
     RANDOM_SCALE,
@@ -166,6 +167,9 @@ class SimConfig:
             raise ConfigError("p", "must be within [0, 1]")
         if self.penalty <= 0.0:
             raise ConfigError("penalty", "must be > 0")
+        if not 0 <= self.rng_seed < 2**64:
+            # Seeds are used modulo 2**64: any other integer aliases one.
+            raise ConfigError("rng_seed", "must be within [0, 2**64)")
         if self.threshold < self.floor:
             raise ConfigError("threshold", "must be >= floor")
         if self.total_cycles < 1:
@@ -378,20 +382,20 @@ def build_population(config: SimConfig) -> Population:
 
 def select_server(
     volunteers: list[int] | tuple[int, ...],
-    ledger: TrustLedger,
+    scores: list[float],
     p: float,
     mode_draw: int,
     pick_draw: int,
 ) -> tuple[int, Selection]:
     """Pick the server: with probability p the volunteer of maximal trust
-    (uniform among ties), otherwise a uniformly random volunteer.
+    in ``scores`` (uniform among ties), otherwise a uniformly random
+    volunteer.
 
     ``mode_draw`` and ``pick_draw`` are two raw 64-bit draws: the mode is
     ``random() < p`` and the pick ``randbelow(len(candidates))`` of them."""
     if not volunteers:
         raise ValueError("empty volunteer set")
     if (mode_draw >> 11) * RANDOM_SCALE < p:
-        scores = ledger.scores
         best = -math.inf
         ties: list[int] = []
         for pid in volunteers:
@@ -413,11 +417,10 @@ class Simulation:
         self.config = self.population.config
         config = self.config
         self.ledger = TrustLedger(
-            LedgerConfig(penalty=config.penalty, threshold=config.threshold, floor=config.floor),
-            event_sink=event_sink,
+            LedgerConfig(penalty=config.penalty, floor=config.floor), event_sink=event_sink
         )
-        for peer_id in range(self.population.size):
-            self.ledger.register(peer_id)
+        for _ in range(self.population.size):
+            self.ledger.register()
         self._pending = sorted(config.newcomers, key=lambda i: i.cycle)
         self.round_index = 0
 
@@ -439,7 +442,7 @@ class Simulation:
             drawn = []
             for state, draws in zip(states, first_draws(states)):
                 requester = (draws[0] * size) >> 64  # stream.randbelow(size)
-                drawn.append((requester, self._draw_round(requester, state, draws, 1)))
+                drawn.append((requester, self.draw_round(requester, state, draws, 1)))
             for requester, round_draws in drawn:
                 outcome = self.run_round(requester, round_draws).outcome
                 if outcome is Outcome.SUCCESS:
@@ -448,12 +451,13 @@ class Simulation:
                     failures += 1
         return self._metrics_row(cycle, successes, failures)
 
-    def _draw_round(
+    def draw_round(
         self, requester_id: int, state: int, draws: list[int], at: int
     ) -> tuple[int, list[int], int, int]:
-        """The file, the volunteers and the two selection draws of the round
-        whose stream is ``Stream(state)``, from ``draws[at:]`` (its outputs
-        from ``at`` on, extended when they run out)."""
+        """The file, the volunteers and the two selection draws of a round for
+        ``requester_id`` whose stream is ``Stream(state)``, from
+        ``draws[at:]`` (its outputs from ``at`` on, extended when they run
+        out); ``run_round`` applies them."""
         holdings = self.population.holdings[requester_id]
         catalog = self.config.catalog_size
         while True:
@@ -469,21 +473,15 @@ class Simulation:
         return file_id, volunteers, draws[at], draws[at + 1]
 
     def run_round(
-        self, requester_id: int, drawn: tuple[int, list[int], int, int] | None = None
+        self, requester_id: int, drawn: tuple[int, list[int], int, int]
     ) -> RoundRecord:
         """Apply the next round for ``requester_id``: ``drawn`` is what
-        ``_draw_round`` drew for it; without it the round is drawn here from
-        the start of its stream."""
+        ``draw_round`` drew for it."""
         config = self.config
         population = self.population
         ledger = self.ledger
         scores = ledger.scores
-        if requester_id not in scores:
-            raise UnknownPeerError(requester_id)
         round_index = self.round_index
-        if drawn is None:
-            state = derive_seed(config.rng_seed, "round", round_index)
-            drawn = self._draw_round(requester_id, state, [], 0)
         self.round_index = round_index + 1
 
         file_id, volunteers, mode_draw, pick_draw = drawn
@@ -500,20 +498,13 @@ class Simulation:
                 Gate.REPUTATION_ONLY, None, None, None, 0.0,
             )
 
-        selected, mode = select_server(volunteers, ledger, config.p, mode_draw, pick_draw)
+        selected, mode = select_server(volunteers, scores, config.p, mode_draw, pick_draw)
         if population.behaviors[selected] is Behavior.GOOD_SERVER:
             ledger.credit(selected, round_index, EventKind.SELECTED_TRUTHFUL_CREDIT)
-            ledger.credit_many(
-                (pid for pid in volunteers if pid != selected),
-                round_index,
-                EventKind.VOLUNTEER_CREDIT,
-            )
-            return RoundRecord(
-                round_index, requester_id, file_id, tuple(volunteers), Gate.SERVED,
-                mode, selected, Outcome.SUCCESS, 0.0,
-            )
-        before = scores[selected]
-        after = ledger.penalize(selected, round_index)
+            outcome, delta = Outcome.SUCCESS, 0.0
+        else:
+            before = scores[selected]
+            outcome, delta = Outcome.FAILURE, ledger.penalize(selected, round_index) - before
         ledger.credit_many(
             (pid for pid in volunteers if pid != selected),
             round_index,
@@ -521,22 +512,21 @@ class Simulation:
         )
         return RoundRecord(
             round_index, requester_id, file_id, tuple(volunteers), Gate.SERVED,
-            mode, selected, Outcome.FAILURE, after - before,
+            mode, selected, outcome, delta,
         )
 
     def _inject(self, cycle: int) -> None:
         while self._pending and self._pending[0].cycle <= cycle:
             injection = self._pending.pop(0)
             for _ in range(injection.count):
-                self.ledger.register(self.population.add_peer(injection.behavior))
+                self.population.add_peer(injection.behavior)
+                self.ledger.register()
 
     def _metrics_row(self, cycle: int, successes: int, failures: int) -> "MetricsRow":
         scores = self.ledger.scores
 
-        def average(ids: range | list[int]) -> float | None:
-            if not ids:
-                return None
-            return math.fsum(map(scores.__getitem__, ids)) / len(ids)
+        def average(values: list[float]) -> float | None:
+            return math.fsum(values) / len(values) if values else None
 
         config = self.config
         good_end = config.good_founders
@@ -544,10 +534,12 @@ class Simulation:
         transactions = successes + failures
         return MetricsRow(
             cycle=cycle,
-            avg_trust_good=average(range(good_end)),
-            avg_trust_bad=average(range(good_end, bad_end)),
-            avg_trust_liar=average(range(bad_end, config.founder_population)),
-            avg_trust_newcomer_good=average(self.population.newcomer_good_ids),
+            avg_trust_good=average(scores[:good_end]),
+            avg_trust_bad=average(scores[good_end:bad_end]),
+            avg_trust_liar=average(scores[bad_end:config.founder_population]),
+            avg_trust_newcomer_good=average(
+                [scores[pid] for pid in self.population.newcomer_good_ids]
+            ),
             success_rate=successes / transactions if transactions else None,
             penalties=failures,  # every failure penalizes its server
         )

@@ -3,8 +3,8 @@
 Trust is a raw cumulative sum of events: volunteering earns +1, a failed
 delivery by a selected volunteer costs the configured penalty, and no
 score ever falls below the floor (rejoining under a fresh identity starts
-at the floor, so whitewashing gains nothing).  The service threshold the
-engine gates requesters on is carried in the config.
+at the floor, so whitewashing gains nothing).  ``TrustLedger.scores`` is a
+list indexed by the dense peer id: ``register`` appends the next peer.
 
 A ledger instance is single-writer; concurrent readers are fine between
 writes.  The simulation engine owns one ledger and serializes mutations.
@@ -50,26 +50,24 @@ class TrustEvent:
 @dataclass(frozen=True)
 class LedgerConfig:
     penalty: float
-    threshold: float
     floor: float = 0.0
 
     def __post_init__(self):
-        for name in ("penalty", "threshold", "floor"):
+        for name in ("penalty", "floor"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number")
         if self.penalty <= 0.0:
             raise ValueError("penalty must be > 0")
-        if self.threshold < self.floor:
-            raise ValueError("threshold must be >= floor")
 
 
 class TrustLedger:
     """Single-writer trust scores.
 
-    ``scores`` maps each registered peer to its trust; only the ledger
-    writes it, everyone else reads it.  ``event_sink``, if given, receives
-    every applied change: ``list.append`` keeps them for replay checks,
-    ``EventCsvSink`` streams them to a trace file.
+    ``scores[peer_id]`` is the trust of the peer ``register`` gave that
+    id; only the ledger writes it, everyone else reads it.  An id outside
+    ``[0, len(scores))`` raises ``UnknownPeerError``.  ``event_sink``, if
+    given, receives every applied change: ``list.append`` keeps them for
+    replay checks, ``EventCsvSink`` streams them to a trace file.
     """
 
     def __init__(
@@ -78,19 +76,18 @@ class TrustLedger:
         event_sink: Callable[[TrustEvent], None] | None = None,
     ):
         self.config = config
-        self.scores: dict[int, float] = {}
+        self.scores: list[float] = []
         self._event_sink = event_sink
 
-    def register(self, peer_id: int, trust: float | None = None) -> None:
-        """Add a peer; newcomers start at the floor."""
-        if peer_id in self.scores:
-            raise ValueError(f"peer {peer_id!r} already registered")
+    def register(self, *, trust: float | None = None) -> int:
+        """Add a peer at the next id and return the id; newcomers start at the floor."""
         value = self.config.floor if trust is None else trust
         if not math.isfinite(value):
             raise ValueError("initial trust must be a finite number")
         if value < self.config.floor:
             raise ValueError("initial trust below floor")
-        self.scores[peer_id] = value
+        self.scores.append(value)
+        return len(self.scores) - 1
 
     def credit(
         self,
@@ -102,11 +99,9 @@ class TrustLedger:
         if kind is EventKind.PENALTY:
             raise ValueError("credit cannot record a PENALTY event")
         scores = self.scores
-        try:
-            new_value = scores[peer_id] + 1.0
-        except KeyError:
-            raise UnknownPeerError(peer_id) from None
-        scores[peer_id] = new_value
+        if not 0 <= peer_id < len(scores):
+            raise UnknownPeerError(peer_id)
+        new_value = scores[peer_id] = scores[peer_id] + 1.0
         if self._event_sink is not None:
             self._event_sink(TrustEvent(round_index, peer_id, kind, 1.0, new_value))
         return new_value
@@ -121,29 +116,21 @@ class TrustLedger:
         if kind is EventKind.PENALTY:
             raise ValueError("credit cannot record a PENALTY event")
         scores = self.scores
+        peers = len(scores)
         sink = self._event_sink
-        if sink is None:
-            try:
-                for pid in peer_ids:
-                    scores[pid] = scores[pid] + 1.0
-            except KeyError:
-                raise UnknownPeerError(pid) from None
-            return
         for pid in peer_ids:
-            try:
-                new_value = scores[pid] + 1.0
-            except KeyError:
-                raise UnknownPeerError(pid) from None
-            scores[pid] = new_value
-            sink(TrustEvent(round_index, pid, kind, 1.0, new_value))
+            if not 0 <= pid < peers:
+                raise UnknownPeerError(pid)
+            new_value = scores[pid] = scores[pid] + 1.0
+            if sink is not None:
+                sink(TrustEvent(round_index, pid, kind, 1.0, new_value))
 
     def penalize(self, peer_id: int, round_index: int = 0) -> float:
         """Apply the penalty, clamped at the floor; returns the updated trust."""
         scores = self.scores
-        try:
-            old = scores[peer_id]
-        except KeyError:
-            raise UnknownPeerError(peer_id) from None
+        if not 0 <= peer_id < len(scores):
+            raise UnknownPeerError(peer_id)
+        old = scores[peer_id]
         new_value = old - self.config.penalty
         floor = self.config.floor
         if new_value < floor:
@@ -159,11 +146,11 @@ class TrustLedger:
     def replay(
         events: Iterable[TrustEvent],
         config: LedgerConfig,
-        peer_ids: Iterable[int],
-    ) -> dict[int, float]:
-        """Fold an event log under the update rule from floor-initialized
-        scores; must reproduce the live scores exactly."""
-        scores = {pid: config.floor for pid in peer_ids}
+        peers: int,
+    ) -> list[float]:
+        """Fold an event log under the update rule from the floor-initialized
+        scores of ``peers`` peers; must reproduce the live scores exactly."""
+        scores = [config.floor] * peers
         for event in events:
             if event.kind is EventKind.PENALTY:
                 scores[event.peer_id] = max(

@@ -41,6 +41,8 @@ from trustsim.oracle import (
     within_sigmas,
 )
 
+from helpers import play_round
+
 DESK = dict(
     good_founders=1400,
     bad_founders=300,
@@ -284,7 +286,7 @@ def test_criterion_9_ledger_invariants_randomized():
         for _ in range(10_000):
             requester = rng.randrange(sim.population.size)
             before = len(events)
-            record = sim.run_round(requester)
+            record = play_round(sim, requester)
             new = events[before:]
             penalties = [e for e in new if e.kind is EventKind.PENALTY]
             credits = len(new) - len(penalties)
@@ -296,7 +298,7 @@ def test_criterion_9_ledger_invariants_randomized():
             # floor invariant on every value the round touched
             for event in new:
                 assert event.new_value >= floor
-        assert all(value >= floor for value in scores.values())
+        assert all(value >= floor for value in scores)
         # monotonicity: peers never penalized never lose trust
         penalized_ids = {e.peer_id for e in events if e.kind is EventKind.PENALTY}
         last_seen: dict[int, float] = {}
@@ -306,6 +308,6 @@ def test_criterion_9_ledger_invariants_randomized():
             assert event.new_value >= last_seen.get(event.peer_id, floor)
             last_seen[event.peer_id] = event.new_value
         # replay reproduces the live scores for a same-shaped ledger run
-        replay_ledger = TrustLedger.replay(events, sim.ledger.config, scores.keys())
+        replay_ledger = TrustLedger.replay(events, sim.ledger.config, len(scores))
         assert replay_ledger == scores
         assert time.perf_counter() - started < 5.0

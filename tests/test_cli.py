@@ -207,6 +207,34 @@ def test_simulate_non_integer_seed_is_config_error(tmp_path, capsys, monkeypatch
     assert "error: --seeds: 'x' is not an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 1)])
+@pytest.mark.parametrize("entry", ["rng_seed", "--rng-seed", "--seeds", "liar-payoff", "escape"])
+def test_seed_outside_64_bits_is_rejected_naming_the_key(entry, seed, tmp_path, capsys,
+                                                         monkeypatch):
+    """Streams use a seed modulo 2**64, so -1 and 2**64 + 1 would replay the
+    streams of 2**64 - 1 and 1; every entry point rejects them before a run."""
+    _forbid_simulation(monkeypatch)
+    for name in ("mc_liar_payoff", "mc_escape_frequency"):
+        monkeypatch.setattr(f"trustsim.oracle.{name}", None)  # a call fails the test
+    if entry in ("liar-payoff", "escape"):
+        argv = ["oracle", entry, "--p", "0.9", "--j", "30", f"--seed={seed}"]
+        argv += ["--penalty", "329"] if entry == "liar-payoff" else ["--streak", "5"]
+        named = "argument --seed: expected a seed within [0, 2**64)"
+    elif entry == "rng_seed":
+        path, _ = write_config(tmp_path, rng_seed=seed)
+        argv, named = ["simulate", str(path)], "error: rng_seed: must be within [0, 2**64)"
+    elif entry == "--rng-seed":
+        path, _ = write_config(tmp_path)
+        argv = ["simulate", str(path), f"--rng-seed={seed}"]
+        named = "error: rng_seed: must be within [0, 2**64)"
+    else:
+        path, _ = write_config(tmp_path)
+        argv = ["simulate", str(path), "--seeds", f"1,{seed}"]
+        named = f"error: --seeds: seed {seed} is outside [0, 2**64)"
+    assert run_cli(*argv) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_simulate_seed_list_writes_one_csv_per_seed(tmp_path, capsys):
     path, _ = write_config(tmp_path)
     assert run_cli("simulate", str(path), "--seeds", "1,2") == 0

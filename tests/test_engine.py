@@ -26,8 +26,10 @@ from trustsim.engine import (
     select_server,
 )
 from trustsim.game import Selection
-from trustsim.ledger import EventKind, LedgerConfig, TrustLedger
+from trustsim.ledger import EventKind
 from trustsim.rng import BLOCK_GROUP, Stream, draw_hypergeom, hypergeom_cdf
+
+from helpers import play_round
 
 
 def small_config(**overrides):
@@ -78,6 +80,8 @@ def test_config_validation_names_offending_key():
         (dict(good_founders=1, bad_founders=0, liar_founders=0), "good_founders"),
         (dict(newcomers=(Injection(-1, 5, Behavior.GOOD_SERVER),)), "newcomers"),
         (dict(newcomers=(Injection(1, 0, Behavior.GOOD_SERVER),)), "newcomers"),
+        (dict(rng_seed=-1), "rng_seed"),  # would alias seed 2**64 - 1
+        (dict(rng_seed=2**64), "rng_seed"),  # would alias seed 0
     ]
     for overrides, key in cases:
         with pytest.raises(ConfigError) as err:
@@ -150,26 +154,19 @@ def test_population_indexes_are_consistent():
 # --- server selection ---
 
 
-def _ledger_with(scores: dict[int, float]) -> TrustLedger:
-    ledger = TrustLedger(LedgerConfig(penalty=1.0, threshold=0.0))
-    for pid, value in scores.items():
-        ledger.register(pid, trust=value)
-    return ledger
-
-
 def test_select_server_by_trust_takes_argmax():
-    ledger = _ledger_with({1: 5.0, 2: 2.0, 3: 9.0})
+    scores = [0.0, 5.0, 2.0, 9.0]
     for seed in range(20):
-        pid, mode = select_server([1, 2, 3], ledger, 1.0, *Stream.from_path(seed).u64s(2))
+        pid, mode = select_server([1, 2, 3], scores, 1.0, *Stream.from_path(seed).u64s(2))
         assert (pid, mode) == (3, Selection.BY_TRUST)
 
 
 def test_select_server_tie_break_uniform_over_seeds():
-    ledger = _ledger_with({1: 7.0, 2: 7.0})
+    scores = [0.0, 7.0, 7.0]
     picks = []
     for seed in range(2000):
-        pid, _ = select_server([1, 2], ledger, 1.0, *Stream.from_path(seed, "tie").u64s(2))
-        repeat, _ = select_server([1, 2], ledger, 1.0, *Stream.from_path(seed, "tie").u64s(2))
+        pid, _ = select_server([1, 2], scores, 1.0, *Stream.from_path(seed, "tie").u64s(2))
+        repeat, _ = select_server([1, 2], scores, 1.0, *Stream.from_path(seed, "tie").u64s(2))
         assert pid == repeat  # deterministic per seed
         picks.append(pid)
     ones = picks.count(1)
@@ -178,12 +175,12 @@ def test_select_server_tie_break_uniform_over_seeds():
 
 
 def test_select_server_random_is_uniform():
-    ledger = _ledger_with({1: 50.0, 2: 0.0, 3: 3.0})
+    scores = [0.0, 50.0, 0.0, 3.0]
     stream = Stream.from_path(13, "uniform")
     counts = {1: 0, 2: 0, 3: 0}
     trials = 30_000
     for _ in range(trials):
-        pid, mode = select_server([1, 2, 3], ledger, 0.0, *stream.u64s(2))
+        pid, mode = select_server([1, 2, 3], scores, 0.0, *stream.u64s(2))
         assert mode is Selection.RANDOM
         counts[pid] += 1
     sigma = math.sqrt(trials * (1 / 3) * (2 / 3))
@@ -193,16 +190,16 @@ def test_select_server_random_is_uniform():
 
 def test_select_server_rejects_empty():
     with pytest.raises(ValueError):
-        select_server([], _ledger_with({}), 0.5, 0, 0)
+        select_server([], [], 0.5, 0, 0)
 
 
 def test_select_server_invariant_under_increasing_transform():
-    raw = {1: 1.0, 2: 3.0, 3: 3.0, 4: 0.5}
-    transformed = {pid: math.exp(value) for pid, value in raw.items()}
+    raw = [0.0, 1.0, 3.0, 3.0, 0.5]
+    transformed = [math.exp(value) for value in raw]
     for seed in range(200):
         draws = Stream.from_path(seed, "mono").u64s(2)
-        a, _ = select_server([1, 2, 3, 4], _ledger_with(raw), 1.0, *draws)
-        b, _ = select_server([1, 2, 3, 4], _ledger_with(transformed), 1.0, *draws)
+        a, _ = select_server([1, 2, 3, 4], raw, 1.0, *draws)
+        b, _ = select_server([1, 2, 3, 4], transformed, 1.0, *draws)
         assert a == b
 
 
@@ -227,7 +224,7 @@ def test_round_with_good_and_liar_forced_random_penalizes_liar():
         sim = three_peer_sim(rng_seed=seed)
         for _ in range(3):
             sim.ledger.credit(liar)
-        record = sim.run_round(0)
+        record = play_round(sim, 0)
         assert record.gate is Gate.SERVED
         assert record.mode is Selection.RANDOM
         assert set(record.volunteer_ids) == {good, liar}
@@ -247,7 +244,7 @@ def test_round_all_good_volunteers_credits_everyone():
                        catalog_size=4, n=2, p=0.9, reach=3)
     sim = Simulation(cfg)
     set_holdings(sim, {0: {0, 1}, 1: {2, 3}, 2: {2, 3}, 3: {2, 3}})
-    record = sim.run_round(0)
+    record = play_round(sim, 0)
     assert record.gate is Gate.SERVED
     assert record.outcome is Outcome.SUCCESS
     assert set(record.volunteer_ids) == {1, 2, 3}
@@ -259,7 +256,7 @@ def test_round_without_volunteers_changes_nothing():
                        catalog_size=2, n=2, p=0.9, reach=1)
     sim = Simulation(cfg)
     set_holdings(sim, {0: {0}, 1: {0}})  # nobody holds file 1
-    record = sim.run_round(0)
+    record = play_round(sim, 0)
     assert record.gate is Gate.NO_VOLUNTEERS
     assert record.volunteer_ids == ()
     assert record.outcome is None and record.selected_id is None
@@ -270,7 +267,7 @@ def test_round_below_threshold_is_reputation_only():
     sim = three_peer_sim(threshold=5.0)
     for _ in range(3):
         sim.ledger.credit(2)
-    record = sim.run_round(0)
+    record = play_round(sim, 0)
     assert record.gate is Gate.REPUTATION_ONLY
     assert record.mode is None and record.selected_id is None
     assert record.outcome is None
@@ -285,7 +282,7 @@ def test_round_below_threshold_is_reputation_only():
         for _ in range(5):
             sim.ledger.credit(0)
         assert sim.ledger.scores[0] == 5.0
-        assert sim.run_round(0).gate is gate
+        assert play_round(sim, 0).gate is gate
 
 
 def test_round_selected_good_server_event_kind():
@@ -296,7 +293,7 @@ def test_round_selected_good_server_event_kind():
     set_holdings(sim, {0: {0, 1}, 1: {2, 3}, 2: {2, 3}, 3: {2, 3}})
     sim.ledger.credit(2)  # make peer 2 the unique argmax
     events.clear()
-    record = sim.run_round(0)
+    record = play_round(sim, 0)
     assert record.selected_id == 2
     kinds = {e.peer_id: e.kind for e in events}
     assert kinds[2] is EventKind.SELECTED_TRUTHFUL_CREDIT
@@ -306,10 +303,8 @@ def test_round_selected_good_server_event_kind():
 
 def test_round_unknown_requester_rejected():
     sim = Simulation(small_config())
-    from trustsim.ledger import UnknownPeerError
-
-    with pytest.raises(UnknownPeerError):
-        sim.run_round(999)
+    with pytest.raises(IndexError):
+        play_round(sim, 999)
 
 
 # --- volunteer sampling ---
@@ -331,7 +326,7 @@ def test_truthful_volunteers_always_hold_the_file():
     rng = random.Random(2)
     for _ in range(4000):
         requester = rng.randrange(population.size)
-        record = sim.run_round(requester)
+        record = play_round(sim, requester)
         for pid in record.volunteer_ids:
             if population.behaviors[pid].truthful:
                 assert record.file_id in population.holdings[pid]
@@ -346,7 +341,7 @@ def test_volunteer_rates_match_reach_and_holdings():
     tracked_good, tracked_liar = 1, sim.population.liar_pool[0]
     good_count = liar_count = 0
     for _ in range(rounds):
-        record = sim.run_round(requester)
+        record = play_round(sim, requester)
         if tracked_good in record.volunteer_ids:
             good_count += 1
         if tracked_liar in record.volunteer_ids:
@@ -548,7 +543,8 @@ def scalar_cycle(sim, cycle, records, cases):
     """One cycle with one ``Stream.from_path`` per round and one scalar draw
     at a time: the reference for ``Simulation.run_cycle``.  Appends each
     round's record to ``records`` and counts file re-draws and liar
-    requesters in ``cases``."""
+    requesters in ``cases``.  Its metrics row picks each curve's peers by
+    behavior, not by id range as ``_metrics_row`` does."""
     sim._inject(cycle)
     config, population, ledger = sim.config, sim.population, sim.ledger
     scores = ledger.scores
@@ -593,7 +589,24 @@ def scalar_cycle(sim, cycle, records, cases):
         ledger.credit_many(others, index)
         records.append(RoundRecord(index, requester, file_id, tuple(volunteers), Gate.SERVED,
                                    mode, selected, outcome, delta))
-    return sim._metrics_row(cycle, successes, failures)
+
+    def average(ids):
+        ids = list(ids)
+        return math.fsum(scores[pid] for pid in ids) / len(ids) if ids else None
+
+    behaviors = population.behaviors
+    founders = range(config.founder_population)
+    newcomers = range(config.founder_population, population.size)
+    transactions = successes + failures
+    return MetricsRow(
+        cycle,
+        average(pid for pid in founders if behaviors[pid] is Behavior.GOOD_SERVER),
+        average(pid for pid in founders if behaviors[pid] is Behavior.BAD_SERVER),
+        average(pid for pid in founders if behaviors[pid] is Behavior.LIAR),
+        average(pid for pid in newcomers if behaviors[pid] is Behavior.GOOD_SERVER),
+        successes / transactions if transactions else None,
+        failures,
+    )
 
 
 def check_run_cycle_against_scalar(config):
@@ -797,7 +810,7 @@ def test_credit_conservation_per_round():
     rng = random.Random(12)
     for _ in range(2000):
         before = len(events)
-        record = sim.run_round(rng.randrange(sim.population.size))
+        record = play_round(sim, rng.randrange(sim.population.size))
         new = events[before:]
         penalties = [e for e in new if e.kind is EventKind.PENALTY]
         credits = len(new) - len(penalties)

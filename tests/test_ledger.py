@@ -15,85 +15,89 @@ from trustsim.ledger import (
 )
 
 
-def make_ledger(penalty=299.0, threshold=50.0, floor=0.0, **kwargs):
-    return TrustLedger(LedgerConfig(penalty=penalty, threshold=threshold, floor=floor), **kwargs)
+def make_ledger(penalty=299.0, floor=0.0, peers=0, **kwargs):
+    """A ledger with ``peers`` peers registered at the floor."""
+    ledger = TrustLedger(LedgerConfig(penalty=penalty, floor=floor), **kwargs)
+    for _ in range(peers):
+        ledger.register()
+    return ledger
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        LedgerConfig(penalty=0.0, threshold=1.0)
-    with pytest.raises(ValueError):
-        LedgerConfig(penalty=1.0, threshold=-1.0, floor=0.0)
+        LedgerConfig(penalty=0.0)
     for bad in (math.nan, math.inf, -math.inf):
-        for key in ("penalty", "threshold", "floor"):
-            values = dict(penalty=1.0, threshold=1.0, floor=0.0)
+        for key in ("penalty", "floor"):
+            values = dict(penalty=1.0, floor=0.0)
             values[key] = bad
             with pytest.raises(ValueError, match=key):
                 LedgerConfig(**values)
 
 
 def test_credit_increments_by_one():
-    ledger = make_ledger()
-    ledger.register(1)
-    assert ledger.credit(1) == 1.0
+    ledger = make_ledger(peers=1)
+    assert ledger.credit(0) == 1.0
     for _ in range(9):
-        ledger.credit(1)
-    assert ledger.scores[1] == 10.0
-    ledger.register(2, trust=4.0)
-    assert ledger.credit(2) == 5.0
+        ledger.credit(0)
+    assert ledger.scores[0] == 10.0
+    ledger.register(trust=4.0)
+    assert ledger.credit(1) == 5.0
 
 
 def test_penalize_clamps_at_floor():
     ledger = make_ledger()
-    ledger.register(1, trust=5.0)
-    assert ledger.penalize(1) == 0.0
-    ledger.register(2, trust=350.0)
-    assert ledger.penalize(2) == 51.0
-    ledger.register(3)  # at the floor already
-    assert ledger.penalize(3) == 0.0
+    ledger.register(trust=5.0)
+    assert ledger.penalize(0) == 0.0
+    ledger.register(trust=350.0)
+    assert ledger.penalize(1) == 51.0
+    ledger.register()  # at the floor already
+    assert ledger.penalize(2) == 0.0
 
 
 def test_unknown_peer_errors():
-    ledger = make_ledger()
-    with pytest.raises(UnknownPeerError):
-        ledger.credit(99)
-    with pytest.raises(UnknownPeerError):
-        ledger.penalize(99)
-    with pytest.raises(UnknownPeerError):
-        ledger.credit_many([99])
+    ledger = make_ledger(peers=2)
+    # -1 would index the last peer of a plain list; 2 is one past the end.
+    for pid in (-1, 2, 99):
+        with pytest.raises(UnknownPeerError):
+            ledger.credit(pid)
+        with pytest.raises(UnknownPeerError):
+            ledger.penalize(pid)
+        with pytest.raises(UnknownPeerError):
+            ledger.credit_many([pid])
+    assert ledger.scores == [0.0, 0.0]
 
 
-def test_register_twice_rejected():
+def test_register_appends_the_next_id():
     ledger = make_ledger()
-    ledger.register(1)
+    assert [ledger.register() for _ in range(3)] == [0, 1, 2]
+    assert ledger.register(trust=7.0) == 3
+    assert ledger.scores == [0.0, 0.0, 0.0, 7.0]
+    with pytest.raises(TypeError):
+        ledger.register(1)  # an id, or a positional trust, is not accepted
     with pytest.raises(ValueError):
-        ledger.register(1)
-    with pytest.raises(ValueError):
-        ledger.register(2, trust=-1.0)  # below floor
+        ledger.register(trust=-1.0)  # below floor
+    assert ledger.scores == [0.0, 0.0, 0.0, 7.0]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_register_rejects_non_finite_trust(value):
     ledger = make_ledger()
     with pytest.raises(ValueError, match="finite"):
-        ledger.register(1, trust=value)
-    assert 1 not in ledger.scores
+        ledger.register(trust=value)
+    assert ledger.scores == []
 
 
 def test_credit_kind_cannot_be_penalty():
-    ledger = make_ledger()
-    ledger.register(1)
+    ledger = make_ledger(peers=1)
     with pytest.raises(ValueError):
-        ledger.credit(1, kind=EventKind.PENALTY)
+        ledger.credit(0, kind=EventKind.PENALTY)
     with pytest.raises(ValueError):
-        ledger.credit_many([1], kind=EventKind.PENALTY)
+        ledger.credit_many([0], kind=EventKind.PENALTY)
 
 
 def test_floor_invariant_under_random_events():
-    ledger = make_ledger(penalty=7.0, threshold=3.0, floor=0.0)
+    ledger = make_ledger(penalty=7.0, floor=0.0, peers=20)
     peers = list(range(20))
-    for pid in peers:
-        ledger.register(pid)
     rng = random.Random(404)
     for _ in range(5000):
         pid = rng.choice(peers)
@@ -105,26 +109,22 @@ def test_floor_invariant_under_random_events():
 
 
 def test_never_penalized_peer_is_monotone():
-    ledger = make_ledger(penalty=5.0, threshold=0.0)
-    ledger.register(1)
-    ledger.register(2)
+    ledger = make_ledger(penalty=5.0, peers=2)
     rng = random.Random(17)
-    last = ledger.scores[1]
+    last = ledger.scores[0]
     for _ in range(500):
         if rng.random() < 0.5:
-            ledger.credit(1)
+            ledger.credit(0)
         else:
-            ledger.penalize(2)
-        assert ledger.scores[1] >= last
-        last = ledger.scores[1]
+            ledger.penalize(1)
+        assert ledger.scores[0] >= last
+        last = ledger.scores[0]
 
 
 def test_replay_reproduces_live_scores():
     events = []
-    ledger = make_ledger(penalty=9.0, threshold=2.0, event_sink=events.append)
+    ledger = make_ledger(penalty=9.0, peers=12, event_sink=events.append)
     peers = list(range(12))
-    for pid in peers:
-        ledger.register(pid)
     rng = random.Random(99)
     for round_index in range(3000):
         pid = rng.choice(peers)
@@ -132,7 +132,7 @@ def test_replay_reproduces_live_scores():
             ledger.penalize(pid, round_index)
         else:
             ledger.credit(pid, round_index)
-    replayed = TrustLedger.replay(events, ledger.config, peers)
+    replayed = TrustLedger.replay(events, ledger.config, len(peers))
     assert replayed == ledger.scores
 
 
@@ -163,14 +163,11 @@ LEDGER_CALLS = st.lists(
 )
 def test_replay_of_recorded_events_reproduces_live_scores(penalty, floor, founders, calls):
     events = []
-    ledger = make_ledger(penalty=penalty, threshold=floor, floor=floor, event_sink=events.append)
-    peers = 0
-    for _ in range(founders):
-        ledger.register(peers)
-        peers += 1
+    ledger = make_ledger(penalty=penalty, floor=floor, peers=founders, event_sink=events.append)
+    peers = founders
     for round_index, (name, *args) in enumerate(calls):
         if name == "register":
-            ledger.register(peers)
+            assert ledger.register() == peers
             peers += 1
         elif name == "credit":
             ledger.credit(args[0] % peers, round_index, args[1])
@@ -178,7 +175,8 @@ def test_replay_of_recorded_events_reproduces_live_scores(penalty, floor, founde
             ledger.credit_many([pid % peers for pid in args[0]], round_index, args[1])
         else:
             ledger.penalize(args[0] % peers, round_index)
-    assert TrustLedger.replay(events, ledger.config, range(peers)) == ledger.scores
+    replayed = TrustLedger.replay(events, ledger.config, peers)
+    assert isinstance(replayed, list) and replayed == ledger.scores
 
 
 def test_credits_commute():
@@ -186,9 +184,7 @@ def test_credits_commute():
     credits = [rng.choice(range(6)) for _ in range(300)]
 
     def apply(order):
-        ledger = make_ledger(threshold=0.0)
-        for pid in range(6):
-            ledger.register(pid)
+        ledger = make_ledger(peers=6)
         for pid in order:
             ledger.credit(pid)
         return ledger.scores
@@ -200,9 +196,9 @@ def test_credits_commute():
 
 def test_event_csv_format():
     buffer = io.StringIO()
-    ledger = make_ledger(penalty=299.0, threshold=0.0, event_sink=EventCsvSink(buffer))
-    ledger.register(7, trust=5.0)
-    ledger.register(8)
+    ledger = make_ledger(penalty=299.0, peers=7, event_sink=EventCsvSink(buffer))
+    ledger.register(trust=5.0)
+    ledger.register()
     ledger.credit(7, round_index=0)
     ledger.credit(7, round_index=1, kind=EventKind.SELECTED_TRUTHFUL_CREDIT)
     ledger.credit_many([8, 7], round_index=2)
