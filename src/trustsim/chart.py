@@ -17,7 +17,7 @@ _WIDTH, _HEIGHT = 840, 520
 _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 70, 160, 30, 55
 
 
-def render_chart(series: MetricsSeries, title: str = "average trust by category") -> str:
+def render_chart(series: MetricsSeries) -> str:
     """Render one polyline per category present, with axes and a legend."""
     if not series.rows:
         raise ValueError("no data rows to plot")
@@ -52,7 +52,7 @@ def render_chart(series: MetricsSeries, title: str = "average trust by category"
         f'<svg xmlns="{SVG_NS}" viewBox="0 0 {_WIDTH} {_HEIGHT}" '
         f'font-family="sans-serif" font-size="13">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{_MARGIN_LEFT}" y="18" font-size="15">{title}</text>',
+        f'<text x="{_MARGIN_LEFT}" y="18" font-size="15">average trust by category</text>',
     ]
 
     axis_y = _MARGIN_TOP + plot_h
@@ -99,9 +99,9 @@ def render_chart(series: MetricsSeries, title: str = "average trust by category"
     return "\n".join(parts) + "\n"
 
 
-def write_chart(csv_path, svg_path, title: str = "average trust by category") -> None:
+def write_chart(csv_path, svg_path) -> None:
     """Read a metrics CSV and write the chart; schema errors propagate."""
     series = MetricsSeries.from_csv(csv_path)
-    svg = render_chart(series, title=title)
+    svg = render_chart(series)
     with open(svg_path, "w") as fh:
         fh.write(svg)

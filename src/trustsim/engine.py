@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -204,14 +205,8 @@ def holdings_size(catalog_size: int, n: int) -> int:
     return round(catalog_size / n)
 
 
-def calibrated_reach(
-    good: int,
-    bad: int,
-    liars: int,
-    n: int,
-    target_volunteers: float = DEFAULT_VOLUNTEER_TARGET,
-) -> int:
-    """Reach giving ~``target_volunteers`` expected volunteers per query:
+def calibrated_reach(good: int, bad: int, liars: int, n: int) -> int:
+    """Reach giving ~``DEFAULT_VOLUNTEER_TARGET`` expected volunteers per query:
     every sampled liar volunteers, a sampled truthful peer does so with
     probability 1/n."""
     population = good + bad + liars
@@ -220,7 +215,7 @@ def calibrated_reach(
     rate = (liars + (good + bad) / n) / population
     if rate <= 0.0:
         raise ConfigError("reach", "no peer can ever volunteer; cannot calibrate")
-    return max(1, min(population - 1, round(target_volunteers / rate)))
+    return max(1, min(population - 1, round(DEFAULT_VOLUNTEER_TARGET / rate)))
 
 
 class RoundRecord(NamedTuple):
@@ -253,7 +248,6 @@ class Population:
         self.behaviors: list[Behavior] = []
         self.holdings: list[frozenset[int]] = []
         self.liar_pool: list[int] = []
-        self.liar_index: dict[int, int] = {}
         self.holders_by_file: list[list[int]] = [[] for _ in range(config.catalog_size)]
         self.newcomer_good_ids: list[int] = []
         # Liar-count CDFs for a truthful and for a liar requester; built by
@@ -281,7 +275,6 @@ class Population:
             for file_id in files:
                 self.holders_by_file[file_id].append(peer_id)
         else:
-            self.liar_index[peer_id] = len(self.liar_pool)
             self.liar_pool.append(peer_id)
         if peer_id >= self.config.founder_population and behavior is Behavior.GOOD_SERVER:
             self.newcomer_good_ids.append(peer_id)
@@ -318,8 +311,9 @@ class Population:
         liar_limit = len(pool) - 1 if requester_is_liar else len(pool)
         if requester_is_liar:
             # Park the requester at the end of the pool so the sample prefix
-            # never contains it; undone below.
-            pos = self.liar_index[requester_id]
+            # never contains it; undone below.  The pool is in id order, as
+            # add_peer appends rising ids and every swap is undone.
+            pos = bisect_left(pool, requester_id)
             pool[pos], pool[liar_limit] = pool[liar_limit], pool[pos]
         liar_draws = 0
         if liar_limit > 0:
@@ -457,7 +451,10 @@ class Simulation:
         """The file, the volunteers and the two selection draws of a round for
         ``requester_id`` whose stream is ``Stream(state)``, from
         ``draws[at:]`` (its outputs from ``at`` on, extended when they run
-        out); ``run_round`` applies them."""
+        out); ``run_round`` applies them.  Raises IndexError unless
+        ``0 <= requester_id < population.size``."""
+        if not 0 <= requester_id < self.population.size:
+            raise IndexError(f"requester {requester_id} is not a peer id")
         holdings = self.population.holdings[requester_id]
         catalog = self.config.catalog_size
         while True:

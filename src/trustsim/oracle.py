@@ -32,25 +32,6 @@ class McResult:
             raise ValueError("trials must be >= 2")
 
 
-def combine(results: list[McResult]) -> McResult:
-    """Pool independent partition estimates into one McResult.
-
-    Order-independent, so trials may be split across concurrent workers with
-    per-partition seeds and merged afterwards.
-    """
-    if not results:
-        raise ValueError("nothing to combine")
-    total = sum(r.trials for r in results)
-    mean = math.fsum(r.mean * r.trials for r in results) / total
-    # Reassemble the pooled sum of squared deviations from each partition's
-    # variance and mean offset.
-    ss = math.fsum(
-        r.std_error**2 * r.trials * (r.trials - 1) + r.trials * (r.mean - mean) ** 2
-        for r in results
-    )
-    return McResult(mean=mean, std_error=math.sqrt(ss / (total - 1) / total), trials=total)
-
-
 def mc_liar_payoff(p: float, penalty: float, j: int, trials: int, seed: int = 0) -> McResult:
     """Estimate a liar's per-round trust change by simulating rounds.
 

@@ -1,8 +1,8 @@
 """Flat key=value run configuration files.
 
 Format: UTF-8 lines of ``key = value``; ``#`` starts a comment; blank
-lines ignored; unknown keys rejected.  Keys mirror the simulation config
-plus the output paths.
+lines ignored; unknown keys rejected.  The keys are the ``SimConfig``
+fields, parsed by their annotated types, plus the output paths.
 """
 
 from __future__ import annotations
@@ -12,22 +12,12 @@ from dataclasses import MISSING, dataclass, fields
 from .engine import ConfigError, SimConfig, parse_injections
 
 
-_SIM_KEYS = {
-    "good_founders": int,
-    "bad_founders": int,
-    "liar_founders": int,
-    "catalog_size": int,
-    "n": int,
-    "p": float,
-    "penalty": float,
-    "threshold": float,
-    "floor": float,
-    "queries_per_cycle": int,
-    "reach": int,
-    "total_cycles": int,
-    "rng_seed": int,
-    "newcomers": parse_injections,
+# One parser per SimConfig annotation (a string, as annotations are
+# postponed); a field whose annotation has none here fails at import.
+_PARSERS = {
+    "int": int, "int | None": int, "float": float, "tuple[Injection, ...]": parse_injections,
 }
+_SIM_KEYS = {f.name: _PARSERS[f.type] for f in fields(SimConfig)}
 _PATH_KEYS = ("metrics_csv", "trace_csv")
 # Every SimConfig field without a default, then the metrics path.
 _REQUIRED = tuple(f.name for f in fields(SimConfig) if f.default is MISSING) + ("metrics_csv",)

@@ -101,7 +101,7 @@ def test_config_defaults_resolve():
 def test_calibrated_reach_formula():
     # volunteer rate per sampled peer: liars always, truthful peers 1/n
     assert calibrated_reach(1400, 300, 300, 100) == 189
-    assert calibrated_reach(0, 0, 100, 10, target_volunteers=30.0) == 30
+    assert calibrated_reach(0, 0, 100, 10) == 30
     with pytest.raises(ConfigError):
         calibrated_reach(1, 0, 0, 10)
 
@@ -302,9 +302,16 @@ def test_round_selected_good_server_event_kind():
 
 
 def test_round_unknown_requester_rejected():
-    sim = Simulation(small_config())
-    with pytest.raises(IndexError):
-        play_round(sim, 999)
+    # The last peer is a liar, then a truthful peer: -1 must not wrap onto it.
+    for cfg in (small_config(), small_config(liar_founders=0)):
+        sim = Simulation(cfg)
+        for requester in range(4):
+            play_round(sim, requester)
+        round_index, scores = sim.round_index, list(sim.ledger.scores)
+        for requester in (-1, sim.population.size, 999):
+            with pytest.raises(IndexError):
+                play_round(sim, requester)
+        assert sim.round_index == round_index and sim.ledger.scores == scores
 
 
 # --- volunteer sampling ---
@@ -786,6 +793,23 @@ def test_newcomer_liars_join_pool_but_not_founder_curves():
     # The liar curve averages the founder liars 10 and 11 only.
     scores = sim.ledger.scores
     assert series.rows[-1].avg_trust_liar == (scores[10] + scores[11]) / 2
+
+
+def test_liar_pool_stays_in_id_order():
+    # Population.volunteers finds a liar requester in the pool by bisection.
+    cfg = small_config(total_cycles=4, newcomers=(
+        Injection(1, 3, Behavior.LIAR), Injection(2, 2, Behavior.GOOD_SERVER),
+        Injection(3, 2, Behavior.LIAR),
+    ))
+    sim = Simulation(cfg)
+    population = sim.population
+    for cycle in range(cfg.total_cycles):
+        sim.run_cycle(cycle)
+        liars = [pid for pid, b in enumerate(population.behaviors) if b is Behavior.LIAR]
+        for requester in liars:
+            assert requester not in play_round(sim, requester).volunteer_ids
+        assert population.liar_pool == liars
+    assert len(liars) == 7
 
 
 def test_never_penalized_peers_have_monotone_trust():

@@ -1,12 +1,10 @@
 import math
-import statistics
 
 import pytest
 
 from trustsim.game import escape_probability, expected_liar_payoff
 from trustsim.oracle import (
     McResult,
-    combine,
     enumerate_escape_probability,
     mc_escape_frequency,
     mc_liar_payoff,
@@ -137,33 +135,6 @@ def test_std_error_shrinks_with_sqrt_of_trials():
     large = mc_liar_payoff(0.5, 3.0, 3, trials=40_000, seed=22)
     ratio = large.std_error / small.std_error
     assert abs(ratio - 1 / math.sqrt(2)) < 0.2 / math.sqrt(2)
-
-
-def test_combine_is_order_independent_and_pools_correctly():
-    parts = [
-        mc_liar_payoff(0.6, 8.0, 4, trials=5_000, seed=100 + i) for i in range(4)
-    ]
-    merged = combine(parts)
-    shuffled = combine([parts[2], parts[0], parts[3], parts[1]])
-    assert merged.mean == pytest.approx(shuffled.mean, abs=1e-15)
-    assert merged.std_error == pytest.approx(shuffled.std_error, abs=1e-15)
-    assert merged.trials == 20_000
-
-
-def test_combine_matches_direct_pooling():
-    xs = [1.0, 2.0, 3.0, 4.0]
-    ys = [10.0, 20.0]
-
-    def result(values):
-        mean = sum(values) / len(values)
-        var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-        return McResult(mean=mean, std_error=math.sqrt(var / len(values)), trials=len(values))
-
-    merged = combine([result(xs), result(ys)])
-    pooled = xs + ys
-    assert merged.mean == pytest.approx(statistics.fmean(pooled))
-    expected_se = math.sqrt(statistics.variance(pooled) / len(pooled))
-    assert merged.std_error == pytest.approx(expected_se, rel=1e-12)
 
 
 def test_within_sigmas_bands():

@@ -1,6 +1,8 @@
+from dataclasses import fields
+
 import pytest
 
-from trustsim.engine import Behavior, ConfigError, Injection
+from trustsim.engine import Behavior, ConfigError, Injection, SimConfig
 from trustsim.runconfig import config_keys, load_run_config, parse_run_config
 
 BASE = """
@@ -101,7 +103,8 @@ def test_load_run_config(tmp_path):
 
 def test_config_keys_cover_paths():
     keys = config_keys()
-    assert "metrics_csv" in keys and "trace_csv" in keys and "penalty" in keys
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == {f.name for f in fields(SimConfig)} | {"metrics_csv", "trace_csv"}
 
 
 def test_empty_output_path_rejected():
