@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     liar.add_argument("--j", type=int, required=True)
     liar.add_argument("--trials", type=_count, default=1_000_000)
     liar.add_argument("--seed", type=_seed, default=0)
-    liar.add_argument("--sigmas", type=_real, default=4.0)
+    liar.add_argument("--sigmas", type=_positive, default=4.0)
     liar.set_defaults(handler=_cmd_oracle_liar)
     escape = orc_sub.add_parser("escape", help="liar escape frequency estimate")
     escape.add_argument("--j", type=int, required=True)
@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     escape.add_argument("--streak", type=int, required=True)
     escape.add_argument("--trials", type=_count, default=100_000)
     escape.add_argument("--seed", type=_seed, default=0)
-    escape.add_argument("--sigmas", type=_real, default=4.0)
+    escape.add_argument("--sigmas", type=_positive, default=4.0)
     escape.set_defaults(handler=_cmd_oracle_escape)
 
     plot = sub.add_parser("plot", help="render a metrics CSV as an SVG line chart")
@@ -108,6 +108,13 @@ def _real(text: str) -> float:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _real(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text!r}")
     return value
 
 

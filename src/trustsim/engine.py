@@ -32,17 +32,12 @@ holdings, one stream per round for everything in that round — so a run is
 byte-reproducible from its configuration.
 
 Draw, then apply: a round's stream depends only on the seed and the round
-index, and its requester, file and volunteer set depend on nothing else
-but the population, which changes only between cycles.  So
-``run_cycle`` takes its rounds in groups of ``rng.BLOCK_GROUP``: it derives
-the group's round states and their first ``rng.BLOCK_WIDTH`` draws in lane
-passes (``derive_states``, ``first_draws``), draws every round of the group
-from those with ``draw_round`` (reading draws by index, and extending a
-round's draws past the block only when it needs more), and then applies
-the rounds in order with ``run_round``, which reads and changes trust.
-Draw ``k`` of a round is output ``k`` of its stream, consumed in the order
-requester, file (redrawn while the requester holds it), volunteers,
-selection.
+index, so ``run_cycle`` takes each round's state and first draws from
+``rng.round_draws`` (lane passes shared by many rounds), draws the round
+with ``draw_round``, which reads no trust, and then applies it with
+``run_round``.  Draw ``k`` of a round is output ``k`` of its stream,
+consumed in the order requester, file (redrawn while the requester holds
+it), volunteers, selection.
 """
 
 from __future__ import annotations
@@ -57,15 +52,13 @@ from typing import Callable, NamedTuple
 from .game import Selection
 from .ledger import EventKind, LedgerConfig, TrustEvent, TrustLedger
 from .rng import (
-    BLOCK_GROUP,
     RANDOM_SCALE,
     Stream,
     derive_seed,
-    derive_states,
     draw_hypergeom,
     extend_draws,
-    first_draws,
     hypergeom_cdf,
+    round_draws,
 )
 
 DEFAULT_VOLUNTEER_TARGET = 30.0
@@ -423,26 +416,20 @@ class Simulation:
         return MetricsSeries(rows)
 
     def run_cycle(self, cycle: int) -> "MetricsRow":
-        """Inject the cycle's newcomers, then draw and apply its rounds in
-        groups of ``BLOCK_GROUP`` (see the module docstring)."""
+        """Inject the cycle's newcomers, then draw and apply its rounds one
+        at a time (see the module docstring)."""
         self._inject(cycle)
         config = self.config
         size = self.population.size
         prefix = derive_seed(config.rng_seed, "round")
         successes = failures = 0
-        end = self.round_index + config.queries_per_cycle
-        for first in range(self.round_index, end, BLOCK_GROUP):
-            states = derive_states(prefix, first, min(BLOCK_GROUP, end - first))
-            drawn = []
-            for state, draws in zip(states, first_draws(states)):
-                requester = (draws[0] * size) >> 64  # stream.randbelow(size)
-                drawn.append((requester, self.draw_round(requester, state, draws, 1)))
-            for requester, round_draws in drawn:
-                outcome = self.run_round(requester, round_draws).outcome
-                if outcome is Outcome.SUCCESS:
-                    successes += 1
-                elif outcome is Outcome.FAILURE:
-                    failures += 1
+        for state, draws in round_draws(prefix, self.round_index, config.queries_per_cycle):
+            requester = (draws[0] * size) >> 64  # stream.randbelow(size)
+            record = self.run_round(requester, self.draw_round(requester, state, draws, 1))
+            if record.outcome is Outcome.SUCCESS:
+                successes += 1
+            elif record.outcome is Outcome.FAILURE:
+                failures += 1
         return self._metrics_row(cycle, successes, failures)
 
     def draw_round(
@@ -549,12 +536,6 @@ def run_simulation(
     return Simulation(config, event_sink=event_sink).run()
 
 
-METRICS_CSV_HEADER = (
-    "cycle,avg_trust_good,avg_trust_bad,avg_trust_liar,"
-    "avg_trust_newcomer_good,success_rate,penalties"
-)
-
-
 @dataclass(frozen=True)
 class MetricsRow:
     cycle: int
@@ -566,11 +547,30 @@ class MetricsRow:
     penalties: int
 
 
+def _format_real(value: float | None) -> str:
+    return "" if value is None else f"{value:.6f}"
+
+
+def _parse_real(field: str) -> float | None:
+    value = float(field) if field else None
+    if value is not None and not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {field!r}")
+    return value
+
+
+# The CSV columns: the MetricsRow fields, with the formatter and the parser of
+# each annotation (a string, as annotations are postponed).
+_CSV_TYPES = {"int": (str, int), "float | None": (_format_real, _parse_real)}
+_CSV_COLUMNS = tuple((f.name, *_CSV_TYPES[f.type]) for f in dataclasses.fields(MetricsRow))
+METRICS_CSV_HEADER = ",".join(name for name, _, _ in _CSV_COLUMNS)
+
+
 class MetricsSeries:
     """Per-cycle category averages and transaction outcomes.
 
-    CSV format: fixed header, ``.`` decimal separator, reals at 6 decimals,
-    missing categories as empty fields.
+    CSV format: a header of the ``MetricsRow`` field names, ``.`` decimal
+    separator, reals at 6 decimals, missing categories as empty fields.
+    Reading rejects a non-finite real.
     """
 
     def __init__(self, rows: list[MetricsRow]):
@@ -586,16 +586,9 @@ class MetricsSeries:
         return isinstance(other, MetricsSeries) and self.rows == other.rows
 
     def to_csv(self) -> str:
-        def fmt(value: float | None) -> str:
-            return "" if value is None else f"{value:.6f}"
-
         lines = [METRICS_CSV_HEADER]
         for row in self.rows:
-            lines.append(
-                f"{row.cycle},{fmt(row.avg_trust_good)},{fmt(row.avg_trust_bad)},"
-                f"{fmt(row.avg_trust_liar)},{fmt(row.avg_trust_newcomer_good)},"
-                f"{fmt(row.success_rate)},{row.penalties}"
-            )
+            lines.append(",".join(fmt(getattr(row, name)) for name, fmt, _ in _CSV_COLUMNS))
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
@@ -606,32 +599,20 @@ class MetricsSeries:
     def from_csv_text(cls, text: str) -> "MetricsSeries":
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines or lines[0] != METRICS_CSV_HEADER:
-            raise SchemaError(
-                f"bad metrics header: expected {METRICS_CSV_HEADER!r}"
-            )
-
-        def parse_real(field: str) -> float | None:
-            return None if field == "" else float(field)
-
+            raise SchemaError(f"bad metrics header: expected {METRICS_CSV_HEADER!r}")
         rows = []
         for number, line in enumerate(lines[1:], start=2):
             fields = line.split(",")
-            if len(fields) != 7:
-                raise SchemaError(f"line {number}: expected 7 fields, got {len(fields)}")
-            try:
-                rows.append(
-                    MetricsRow(
-                        cycle=int(fields[0]),
-                        avg_trust_good=parse_real(fields[1]),
-                        avg_trust_bad=parse_real(fields[2]),
-                        avg_trust_liar=parse_real(fields[3]),
-                        avg_trust_newcomer_good=parse_real(fields[4]),
-                        success_rate=parse_real(fields[5]),
-                        penalties=int(fields[6]),
-                    )
-                )
-            except ValueError as exc:
-                raise SchemaError(f"line {number}: {exc}") from None
+            if len(fields) != len(_CSV_COLUMNS):
+                raise SchemaError(
+                    f"line {number}: expected {len(_CSV_COLUMNS)} fields, got {len(fields)}")
+            values = {}
+            for (name, _, parse), field in zip(_CSV_COLUMNS, fields):
+                try:
+                    values[name] = parse(field)
+                except ValueError as exc:
+                    raise SchemaError(f"line {number}: {name}: {exc}") from None
+            rows.append(MetricsRow(**values))
         return cls(rows)
 
     @classmethod

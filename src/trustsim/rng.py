@@ -40,20 +40,18 @@ scheme can be reimplemented exactly:
   ``int.to_bytes`` as little-endian words, every second word.  Widths
   come from the fixed list ``_WIDTHS``; a longer block than the widest is
   made in pieces of that many lanes.
-* Batched derivation: the streams of the paths ``(*path, start + i)``,
-  ``i < count``, share the prefix ``prefix = derive_seed(master, *path)``,
-  so ``derive_states`` computes them as ``mix64(prefix XOR mix64((start +
-  i + GOLDEN) mod 2**64))`` with ``start + i`` in lane ``i``, both
-  finalizer passes over all the lanes at once.
-* Multi-state blocks: ``first_draws`` computes the first ``BLOCK_WIDTH``
-  outputs of each of up to ``BLOCK_GROUP`` states in one pass.  State
-  ``g`` fills lanes ``g * BLOCK_WIDTH`` to ``(g + 1) * BLOCK_WIDTH - 1``:
-  the int is built from the bytes of its 128-bit lane repeated, with no
-  multiply.  Adding the lane steps ``(k + 1) * GOLDEN`` (lane ``k`` of each
-  state's lanes) then gives the block rule above, per state.  Output
-  ``k >= BLOCK_WIDTH`` of that stream is output ``k - BLOCK_WIDTH`` of
-  ``Stream(state + BLOCK_WIDTH * GOLDEN)``; ``extend_draws`` continues a
-  block that way.
+* Round draws: ``round_draws(prefix, start, count)`` gives the state of
+  each path ``(*path, start + i)``, ``i < count``, with its first
+  ``BLOCK_WIDTH`` outputs, ``BLOCK_GROUP`` paths per pass.  For ``prefix
+  = derive_seed(master, *path)``, one lane pass derives the states as
+  ``mix64(prefix XOR mix64((start + i + GOLDEN) mod 2**64))``, ``start +
+  i`` in lane ``i``.  A second applies the block rule to every state at
+  once: state ``g`` fills lanes ``g * BLOCK_WIDTH`` to ``(g + 1) *
+  BLOCK_WIDTH - 1``, built from the bytes of its 128-bit lane repeated
+  (no multiply), plus the lane steps ``(k + 1) * GOLDEN`` in lane ``k`` of
+  each state's lanes.  Output ``k >= BLOCK_WIDTH`` of a stream is output
+  ``k - BLOCK_WIDTH`` of ``Stream(state + BLOCK_WIDTH * GOLDEN)``;
+  ``extend_draws`` continues a block that way.
 """
 
 from __future__ import annotations
@@ -68,7 +66,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # returns.
 _WIDTHS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512)
 _MAX_LANES = _WIDTHS[-1]
-# first_draws: outputs per state and states per pass.  A desk round uses
+# round_draws: outputs per state and states per pass.  A desk round uses
 # about 50 draws, and 64 cover 98.5% of desk rounds.  A pass of 16 states
 # (a 1,024-lane int of 16 KB) is as fast per round as one of 32, and keeps
 # fewer temporaries and draws alive at once: with 32, peak memory rose by
@@ -116,12 +114,10 @@ def _block_table() -> list[tuple[struct.Struct, int, int, int]]:
 
 
 _BLOCKS = _block_table()
-# first_draws: the lane steps and the lane mask of a whole group, and the
-# reader of one state's lanes.
+# round_draws: i in lane i, and a whole group's lane steps and lane mask.
+_INDEX = _packed(list(range(BLOCK_GROUP)))
 _GROUP_STEPS = _packed([(k * _GOLDEN) & _MASK64 for k in range(1, BLOCK_WIDTH + 1)] * BLOCK_GROUP)
 _GROUP_MASK = _packed([_MASK64] * (BLOCK_GROUP * BLOCK_WIDTH))
-_STATE_READER = struct.Struct("<" + "Q8x" * BLOCK_WIDTH)
-_INDEX = _packed(list(range(BLOCK_GROUP)))  # derive_states: i in lane i
 
 
 def _fnv64(text: str) -> int:
@@ -140,39 +136,27 @@ def derive_seed(master_seed: int, *path: int | str) -> int:
     return state
 
 
-def derive_states(prefix: int, start: int, count: int) -> list[int]:
-    """``derive_seed(master, *path, start + i)`` for ``i < count``, given
-    ``prefix = derive_seed(master, *path)``; ``BLOCK_GROUP`` paths per pass
-    (see the module docstring)."""
+def round_draws(prefix: int, start: int, count: int) -> Iterator[tuple[int, list[int]]]:
+    """``(state, draws)`` of the paths ``(*path, start + i)``, ``i < count``,
+    for ``prefix = derive_seed(master, *path)``: ``draws`` are the first
+    ``BLOCK_WIDTH`` outputs of ``Stream(state)`` (see the module docstring),
+    each list made when it is reached, not a whole pass's lists at once."""
     if count < 0:
-        raise ValueError("derive_states requires count >= 0")
-    states: list[int] = []
+        raise ValueError("round_draws requires count >= 0")
+    reader = _BLOCKS[BLOCK_WIDTH][0]
     for first in range(start, start + count, BLOCK_GROUP):
         lanes = min(start + count - first, BLOCK_GROUP)
-        reader, ones, _, mask = _BLOCKS[lanes]
+        state_reader, ones, _, mask = _BLOCKS[lanes]
         z = ((first + _GOLDEN) * ones + (_INDEX & mask)) & mask  # lane i: first + i + GOLDEN
         z = _mix_lanes((_mix_lanes(z, mask) & mask) ^ (prefix * ones), mask)
-        states += reader.unpack(z.to_bytes(reader.size, "little"))[:lanes]
-    return states
-
-
-def first_draws(states: list[int]) -> Iterator[list[int]]:
-    """The first ``BLOCK_WIDTH`` outputs of ``Stream(state)`` for each state,
-    ``BLOCK_GROUP`` states per pass (see the module docstring).  Each
-    state's list is made when it is reached, so a caller that drops it
-    before taking the next keeps one state's draws alive, not a pass's."""
-    reader = _STATE_READER
-    for first in range(0, len(states), BLOCK_GROUP):
-        group = states[first:first + BLOCK_GROUP]
-        size = reader.size * len(group)
-        cut = 8 * reader.size * (BLOCK_GROUP - len(group))  # the lanes of absent states
-        lanes = b"".join([state.to_bytes(16, "little") * BLOCK_WIDTH for state in group])
-        z = int.from_bytes(lanes, "little")
+        states = state_reader.unpack(z.to_bytes(state_reader.size, "little"))[:lanes]
+        cut = 8 * reader.size * (BLOCK_GROUP - lanes)  # the lanes of absent states
+        packed = b"".join([state.to_bytes(16, "little") * BLOCK_WIDTH for state in states])
         mask = _GROUP_MASK >> cut
-        z = _mix_lanes((z + (_GROUP_STEPS >> cut)) & mask, mask)
-        buf = z.to_bytes(size, "little")
-        for at in range(0, size, reader.size):
-            yield list(reader.unpack_from(buf, at))
+        z = _mix_lanes((int.from_bytes(packed, "little") + (_GROUP_STEPS >> cut)) & mask, mask)
+        buf = z.to_bytes(reader.size * lanes, "little")
+        for g, state in enumerate(states):
+            yield state, list(reader.unpack_from(buf, g * reader.size))
 
 
 def extend_draws(draws: list[int], state: int, count: int) -> None:

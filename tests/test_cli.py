@@ -6,6 +6,7 @@ import pytest
 
 from trustsim.chart import SVG_NS
 from trustsim.cli import _with_seed_suffix, main
+from trustsim.engine import METRICS_CSV_HEADER
 from trustsim.game import (
     expected_liar_payoff,
     penalty_bound_descending,
@@ -315,6 +316,17 @@ def test_oracle_fail_exit_code(capsys):
     assert "verdict=FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["-4", "0"])
+@pytest.mark.parametrize("argv", [
+    ("liar-payoff", "--p", "0.9", "--penalty", "329", "--j", "30"),
+    ("escape", "--j", "30", "--p", "0.9", "--streak", "0"),
+])
+def test_oracle_rejects_non_positive_sigmas(argv, value, capsys):
+    # At the default trials a bad --sigmas would run 1e5-1e6 trials first.
+    assert run_cli("oracle", *argv, "--trials", "100", "--sigmas", value) == 2
+    assert "argument --sigmas: expected a number > 0" in capsys.readouterr().err
+
+
 def test_oracle_invalid_params(capsys):
     assert run_cli("oracle", "liar-payoff", "--p", "0.9", "--penalty", "10",
                    "--j", "0", "--trials", "2000") == 2
@@ -351,6 +363,17 @@ def test_plot_malformed_header(tmp_path, capsys):
     bad.write_text("cycle,nope\n0,1\n")
     assert run_cli("plot", str(bad), str(tmp_path / "c.svg")) == 2
     assert "header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_plot_rejects_non_finite_reals(tmp_path, capsys, value):
+    csv_path = tmp_path / "metrics.csv"
+    csv_path.write_text(f"{METRICS_CSV_HEADER}\n0,1,1,1,,1,0\n1,1,{value},1,,1,0\n")
+    svg_path = tmp_path / "chart.svg"
+    assert run_cli("plot", str(csv_path), str(svg_path)) == 2
+    err = capsys.readouterr().err
+    assert f"line 3: avg_trust_bad: expected a finite number, got {value!r}" in err
+    assert not svg_path.exists()
 
 
 def test_plot_missing_csv_is_io_error(tmp_path):

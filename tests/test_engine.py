@@ -27,7 +27,14 @@ from trustsim.engine import (
 )
 from trustsim.game import Selection
 from trustsim.ledger import EventKind
-from trustsim.rng import BLOCK_GROUP, Stream, draw_hypergeom, hypergeom_cdf
+from trustsim.rng import (
+    BLOCK_GROUP,
+    BLOCK_WIDTH,
+    Stream,
+    _mix_lanes,
+    draw_hypergeom,
+    hypergeom_cdf,
+)
 
 from helpers import play_round
 
@@ -707,26 +714,22 @@ def test_run_cycle_equals_scalar_reference_in_edge_cases():
 
 @pytest.mark.parametrize("queries", [5, BLOCK_GROUP + 1, 2 * BLOCK_GROUP + 7])
 def test_cycle_draws_in_groups_of_bounded_size(monkeypatch, queries):
-    """The lane passes of a cycle take at most ``BLOCK_GROUP`` rounds, so
-    their ints do not grow with ``queries_per_cycle``: here fewer rounds
-    than one group, and counts that are not a multiple of it."""
-    sizes = []
-    derive, first = engine.derive_states, engine.first_draws
+    """No lane pass of a cycle takes more than ``BLOCK_GROUP`` rounds of
+    ``BLOCK_WIDTH`` lanes, so the ints do not grow with
+    ``queries_per_cycle``, and the widest takes a whole group (or the whole
+    cycle, if shorter): here fewer rounds than one group, and counts that
+    are not a multiple of it."""
+    bits = []
 
-    def derive_states(prefix, start, count):
-        sizes.append(count)
-        return derive(prefix, start, count)
+    def recording_mix(z, mask):
+        bits.append(z.bit_length())
+        return _mix_lanes(z, mask)
 
-    def first_draws(states):
-        sizes.append(len(states))
-        return first(states)
-
-    monkeypatch.setattr(engine, "derive_states", derive_states)
-    monkeypatch.setattr(engine, "first_draws", first_draws)
+    monkeypatch.setattr("trustsim.rng._mix_lanes", recording_mix)
     config = small_config(queries_per_cycle=queries, total_cycles=3)
     check_run_cycle_against_scalar(config)
-    assert max(sizes) == min(queries, BLOCK_GROUP)
-    assert sum(sizes) == 2 * queries * config.total_cycles
+    widest_group = min(queries, BLOCK_GROUP)
+    assert 128 * (widest_group - 1) * BLOCK_WIDTH < max(bits) <= 128 * BLOCK_GROUP * BLOCK_WIDTH
 
 
 # --- whole runs ---
@@ -873,5 +876,8 @@ def test_metrics_csv_schema_errors():
     good_header = MetricsSeries([]).to_csv()
     with pytest.raises(SchemaError):
         MetricsSeries.from_csv_text(good_header + "0,1,2\n")
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="line 2: avg_trust_good: could not convert"):
         MetricsSeries.from_csv_text(good_header + "0,a,1,1,1,1,0\n")
+    for value in ("nan", "inf", "-inf", "NaN", "1e999"):
+        with pytest.raises(SchemaError, match=f"line 3: avg_trust_bad: .*{value!r}"):
+            MetricsSeries.from_csv_text(good_header + f"0,1,1,1,,1,0\n1,1,{value},1,,1,0\n")

@@ -11,11 +11,10 @@ from trustsim.rng import (
     BLOCK_WIDTH,
     Stream,
     derive_seed,
-    derive_states,
     draw_hypergeom,
     extend_draws,
-    first_draws,
     hypergeom_cdf,
+    round_draws,
 )
 
 
@@ -91,7 +90,7 @@ def test_block_draws_reject_negative_counts():
     with pytest.raises(ValueError):
         stream.u64s(-1)
     with pytest.raises(ValueError):
-        derive_states(0, 0, -1)
+        next(round_draws(0, 0, -1))
 
 
 GROUP_COUNTS = st.sampled_from([0, 1, BLOCK_GROUP - 1, BLOCK_GROUP, BLOCK_GROUP + 1])
@@ -103,26 +102,13 @@ GROUP_COUNTS = st.sampled_from([0, 1, BLOCK_GROUP - 1, BLOCK_GROUP, BLOCK_GROUP 
     st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64 - 2 * BLOCK_GROUP, 2**64 - 1)),
     st.one_of(GROUP_COUNTS, st.integers(0, 3 * BLOCK_GROUP + 5)),
 )
-def test_derived_states_equal_derive_seed(seed, start, count):
+def test_round_draws_equal_derive_seed_and_block_draws(seed, start, count):
     # Starts near 2**64 put indexes past it in the same pass; derive_seed
     # takes an int part modulo 2**64, and so do the lanes.
-    prefix = derive_seed(seed, "round")
-    assert derive_states(prefix, start, count) == [
-        derive_seed(seed, "round", start + i) for i in range(count)
+    states = [derive_seed(seed, "round", start + i) for i in range(count)]
+    assert list(round_draws(derive_seed(seed, "round"), start, count)) == [
+        (state, Stream(state).u64s(BLOCK_WIDTH)) for state in states
     ]
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.one_of(GROUP_COUNTS, st.integers(0, 3 * BLOCK_GROUP + 5)).flatmap(
-        lambda count: st.lists(
-            st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**64 - 1])),
-            min_size=count, max_size=count,
-        )
-    )
-)
-def test_first_draws_equal_block_draws_per_state(states):
-    assert list(first_draws(states)) == [Stream(state).u64s(BLOCK_WIDTH) for state in states]
 
 
 @settings(max_examples=200, deadline=None)
