@@ -96,18 +96,31 @@ def test_block_draws_reject_negative_counts():
 GROUP_COUNTS = st.sampled_from([0, 1, BLOCK_GROUP - 1, BLOCK_GROUP, BLOCK_GROUP + 1])
 
 
-@settings(max_examples=200, deadline=None)
-@given(
+ROUND_PATHS = (
     st.integers(0, 2**64 - 1),
     st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64 - 2 * BLOCK_GROUP, 2**64 - 1)),
     st.one_of(GROUP_COUNTS, st.integers(0, 3 * BLOCK_GROUP + 5)),
 )
-def test_round_draws_equal_derive_seed_and_block_draws(seed, start, count):
+
+
+@settings(max_examples=200, deadline=None)
+@given(*ROUND_PATHS)
+def test_derived_states_equal_derive_seed(seed, start, count):
     # Starts near 2**64 put indexes past it in the same pass; derive_seed
     # takes an int part modulo 2**64, and so do the lanes.
-    states = [derive_seed(seed, "round", start + i) for i in range(count)]
-    assert list(round_draws(derive_seed(seed, "round"), start, count)) == [
-        (state, Stream(state).u64s(BLOCK_WIDTH)) for state in states
+    prefix = derive_seed(seed, "round")
+    assert [state for state, _ in round_draws(prefix, start, count)] == [
+        derive_seed(seed, "round", start + i) for i in range(count)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(*ROUND_PATHS)
+def test_first_draws_equal_block_draws_per_state(seed, start, count):
+    pairs = list(round_draws(derive_seed(seed, "round"), start, count))
+    assert len(pairs) == count
+    assert [draws for _, draws in pairs] == [
+        Stream(state).u64s(BLOCK_WIDTH) for state, _ in pairs
     ]
 
 
