@@ -119,7 +119,11 @@ def _positive(text: str) -> float:
 
 
 def _count(text: str) -> int:
-    return int(_real(text))  # accepts 1e6
+    """A whole number, in any float notation (accepts 1e6)."""
+    value = _real(text)
+    if not value.is_integer():
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}")
+    return int(value)
 
 
 def _seed(text: str) -> int:
@@ -151,15 +155,13 @@ def _cmd_analyze(args) -> int:
     print(f"  recommended_threshold    = {threshold}  (epsilon {args.epsilon!r})")
     print(f"  lying_dominated          = {game.lying_is_dominated(params)}")
     print("payoff matrix (requester / responder):")
-    rows = {}
-    for sel, label in ((game.Selection.BY_TRUST, "by_trust"), (game.Selection.RANDOM, "random")):
-        rows[label] = [
-            f"{cell.requester!r} / {cell.responder!r}"
-            for cell in (
-                matrix.cell(sel, game.Response.TRUTHFUL),
-                matrix.cell(sel, game.Response.LYING),
-            )
+    rows = {
+        sel.value: [
+            f"{matrix[sel, resp].requester!r} / {matrix[sel, resp].responder!r}"
+            for resp in (game.Response.TRUTHFUL, game.Response.LYING)
         ]
+        for sel in (game.Selection.BY_TRUST, game.Selection.RANDOM)
+    }
     width = max(len(text) for cells in rows.values() for text in cells)
     width = max(width, len("truthful"), len("lying"))
     print(f"  {'':10s} {'truthful':>{width}s} | {'lying':>{width}s}")

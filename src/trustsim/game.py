@@ -10,8 +10,9 @@ volunteer that fails to deliver, which loses ``penalty`` trust.
 
 This module computes the per-round payoffs of that game, the 2x2 payoff
 matrix, dominance elimination, the penalty levels that make lying a losing
-strategy, the expected cumulative-trust trajectories, and the service
-threshold implied by a tolerated escape probability.
+strategy, and the service threshold implied by a tolerated escape
+probability.  Each input rule (n, j, p, streak, penalty) has one check
+here, which the closed forms, ``GameParams`` and the oracle estimators call.
 """
 
 from __future__ import annotations
@@ -56,14 +57,10 @@ class GameParams:
     cost: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.j < 1:
-            raise ValueError("j must be >= 1")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must be within [0, 1]")
-        if self.penalty < 0.0:
-            raise ValueError("penalty must be >= 0")
+        check_n(self.n)
+        check_j(self.j)
+        check_p(self.p)
+        check_penalty(self.penalty)
         if self.cost <= 0.0:
             raise ValueError("cost must be > 0")
         if self.reward <= self.cost:
@@ -74,24 +71,6 @@ class GameParams:
 class Payoffs:
     requester: float
     responder: float
-
-
-class GameMatrix:
-    """2x2 payoff matrix: requester rows (BY_TRUST, RANDOM), responder
-    columns (TRUTHFUL, LYING), each cell a (requester, responder) pair."""
-
-    def __init__(self, cells: dict[tuple[Selection, Response], Payoffs]):
-        for sel in Selection:
-            for resp in Response:
-                if (sel, resp) not in cells:
-                    raise ValueError(f"missing cell ({sel}, {resp})")
-        self._cells = dict(cells)
-
-    def cell(self, selection: Selection, response: Response) -> Payoffs:
-        return self._cells[(selection, response)]
-
-    def __eq__(self, other):
-        return isinstance(other, GameMatrix) and self._cells == other._cells
 
 
 @dataclass(frozen=True)
@@ -113,7 +92,8 @@ def liar_round_payoff(penalty: float, j: int) -> float:
     """Expected trust change for a lying volunteer when the requester picks
     uniformly at random: selected (and penalized) with probability 1/j,
     credited +1 otherwise, i.e. (-penalty + j - 1) / j."""
-    _require_j(j)
+    check_j(j)
+    check_penalty(penalty)
     return (-penalty + j - 1) / j
 
 
@@ -121,7 +101,7 @@ def expected_liar_payoff(p: float, penalty: float, j: int) -> float:
     """Per-round expected trust change for a liar under the requester
     mixture: +1 when selection is by trust (a low-trust liar is passed
     over), the random-selection payoff otherwise."""
-    _require_j(j)
+    check_p(p)
     return p * 1.0 + (1.0 - p) * liar_round_payoff(penalty, j)
 
 
@@ -132,9 +112,8 @@ def penalty_bound_dominance(n: int, j: int, p: float) -> float:
     expectation (1/n) beat a liar's under the requester mixture.  At p = 1
     a liar with low trust is never penalized, so no finite penalty works.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _require_j(j)
+    check_n(n)
+    check_j(j)
     _require_mixture(p)
     return j - 1 - j * (1 - n * p) / (n * (1 - p))
 
@@ -142,7 +121,7 @@ def penalty_bound_dominance(n: int, j: int, p: float) -> float:
 def penalty_bound_descending(j: int, p: float) -> float:
     """Infimum penalty above which a liar's expected per-round trust change
     is negative, so its expected cumulative trust can never climb."""
-    _require_j(j)
+    check_j(j)
     _require_mixture(p)
     return (j + p - 1) / (1 - p)
 
@@ -165,8 +144,9 @@ def lying_is_dominated(params: GameParams) -> bool:
     return 1.0 / params.n > expected_liar_payoff(params.p, params.penalty, params.j)
 
 
-def payoff_matrix(params: GameParams) -> GameMatrix:
-    """Build the one-round payoff matrix.
+def payoff_matrix(params: GameParams) -> dict[tuple[Selection, Response], Payoffs]:
+    """Build the one-round payoff matrix, keyed by (requester selection,
+    responder response); each cell is a (requester, responder) pair.
 
     Selecting by trust is assumed to find a truthful volunteer, so the
     requester's by-trust payoff is reward - cost in both columns; a random
@@ -177,7 +157,7 @@ def payoff_matrix(params: GameParams) -> GameMatrix:
     gain = params.reward - params.cost
     loss = -params.cost
     truthful = 1.0 / params.n
-    cells = {
+    return {
         (Selection.BY_TRUST, Response.TRUTHFUL): Payoffs(gain, truthful),
         (Selection.BY_TRUST, Response.LYING): Payoffs(gain, 1.0),
         (Selection.RANDOM, Response.TRUTHFUL): Payoffs(gain, truthful),
@@ -185,63 +165,27 @@ def payoff_matrix(params: GameParams) -> GameMatrix:
             loss, liar_round_payoff(params.penalty, params.j)
         ),
     }
-    return GameMatrix(cells)
 
 
-def eliminate_dominated(matrix: GameMatrix) -> EliminationResult:
+def eliminate_dominated(matrix: dict[tuple[Selection, Response], Payoffs]) -> EliminationResult:
     """Iterated elimination of weakly dominated pure strategies.
 
     The requester is examined first on each pass (random selection is
     weakly dominated by selecting by trust whenever lying is available),
     then the responder against the remaining requester strategies.  Exact
     payoff ties are never broken: indifferent strategies both survive.
+    A matrix missing a cell raises ``KeyError``.
     """
     requester = list(Selection)
     responder = list(Response)
-    changed = True
-    while changed:
-        changed = False
-        if len(requester) > 1:
-            first, second = requester
-            row_first = [matrix.cell(first, resp).requester for resp in responder]
-            row_second = [matrix.cell(second, resp).requester for resp in responder]
-            if _weakly_dominated(row_first, row_second):
-                requester = [second]
-                changed = True
-                continue
-            if _weakly_dominated(row_second, row_first):
-                requester = [first]
-                changed = True
-                continue
-        if len(responder) > 1:
-            first, second = responder
-            col_first = [matrix.cell(sel, first).responder for sel in requester]
-            col_second = [matrix.cell(sel, second).responder for sel in requester]
-            if _weakly_dominated(col_first, col_second):
-                responder = [second]
-                changed = True
-            elif _weakly_dominated(col_second, col_first):
-                responder = [first]
-                changed = True
-    return EliminationResult(tuple(requester), tuple(responder))
-
-
-def truthful_trajectory(rounds: int, n: int) -> float:
-    """Expected cumulative trust of an always-truthful peer after the given
-    number of rounds: it volunteers (and is credited) once every n rounds."""
-    if rounds < 0:
-        raise ValueError("rounds must be >= 0")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return rounds / n
-
-
-def liar_trajectory(rounds: int, p: float, penalty: float, j: int) -> float:
-    """Expected cumulative trust of a persistent liar after the given
-    number of rounds (no floor applied)."""
-    if rounds < 0:
-        raise ValueError("rounds must be >= 0")
-    return rounds * expected_liar_payoff(p, penalty, j)
+    while True:
+        rows = {sel: [matrix[sel, resp].requester for resp in responder] for sel in requester}
+        kept_rows = _undominated(rows)
+        columns = {resp: [matrix[sel, resp].responder for sel in kept_rows] for resp in responder}
+        kept_columns = _undominated(columns)
+        if (kept_rows, kept_columns) == (requester, responder):
+            return EliminationResult(tuple(requester), tuple(responder))
+        requester, responder = kept_rows, kept_columns
 
 
 def escape_probability(j: int, p: float, streak: int) -> float:
@@ -249,21 +193,17 @@ def escape_probability(j: int, p: float, streak: int) -> float:
     credits before its first penalty, i.e. reaches trust ``streak + 1``
     worth of headroom unpunished.  Per volunteering round the liar is
     credited with probability (j + p - 1)/j."""
-    _require_j(j)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be within [0, 1]")
-    if streak < 0:
-        raise ValueError("streak must be >= 0")
-    base = (j + p - 1) / j
-    if base < 0.0:
-        raise ValueError("credit probability is negative; invalid j, p")
-    return base**streak
+    check_j(j)
+    check_p(p)
+    check_streak(streak)
+    return ((j + p - 1) / j) ** streak
 
 
 def recommend_threshold(j: int, p: float, epsilon: float) -> int:
     """Smallest service threshold keeping a liar's escape probability at or
     below ``epsilon``: returns streak + 1 for the smallest streak with
     escape_probability(j, p, streak) <= epsilon."""
+    check_j(j)
     _require_mixture(p)
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must be within (0, 1]")
@@ -285,20 +225,49 @@ def recommend_threshold(j: int, p: float, epsilon: float) -> int:
     return streak + 1
 
 
+def check_n(n: int) -> None:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+
+
+def check_j(j: int) -> None:
+    if j < 1:
+        raise ValueError("j must be >= 1")
+
+
+def check_p(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must be within [0, 1]")
+
+
+def check_streak(streak: int) -> None:
+    if streak < 0:
+        raise ValueError("streak must be >= 0")
+
+
+def check_penalty(penalty: float) -> None:
+    if not penalty >= 0.0:  # rejects NaN too
+        raise ValueError("penalty must be >= 0")
+
+
+def _undominated(payoffs: dict) -> list:
+    """One elimination step for one player: the strategies (keys) whose
+    payoffs against the other player's remaining strategies no other
+    strategy's payoffs weakly dominate."""
+    return [
+        strategy for strategy, row in payoffs.items()
+        if not any(_weakly_dominated(row, other) for other in payoffs.values())
+    ]
+
+
 def _weakly_dominated(candidate: list[float], against: list[float]) -> bool:
     return all(c <= a for c, a in zip(candidate, against)) and any(
         c < a for c, a in zip(candidate, against)
     )
 
 
-def _require_j(j: int) -> None:
-    if j < 1:
-        raise ValueError("j must be >= 1")
-
-
 def _require_mixture(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be within [0, 1]")
+    check_p(p)
     if p == 1.0:
         raise ValueError(
             "calibration infeasible: with p = 1 a low-trust liar is never "

@@ -1,8 +1,9 @@
 """Independent validators for the closed-form game analysis.
 
-These estimators simulate the selection process event by event and share
-no arithmetic with the formulas in :mod:`trustsim.game`; an estimator that
-reused the formula could not catch a sign or scale error in it.
+These estimators simulate the selection process event by event.  They
+share only the input checks with :mod:`trustsim.game` and none of its
+arithmetic; an estimator that reused the formula could not catch a sign or
+scale error in it.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, repeat
 
+from .game import check_j, check_p, check_penalty, check_streak
 from .rng import RANDOM_SCALE, Stream
 
 _MIN_TRIALS = 1000
@@ -40,7 +42,9 @@ def mc_liar_payoff(p: float, penalty: float, j: int, trials: int, seed: int = 0)
     and the liar loses ``penalty`` if the pick lands on it, earning +1
     otherwise.
     """
-    _check_round_params(p, j)
+    check_j(j)
+    check_p(p)
+    check_penalty(penalty)
     if trials < _MIN_TRIALS:
         raise ValueError(f"trials must be >= {_MIN_TRIALS}")
     draw = _draws(Stream.from_path(seed, "mc-liar-payoff"))
@@ -59,9 +63,9 @@ def mc_liar_payoff(p: float, penalty: float, j: int, trials: int, seed: int = 0)
 def mc_escape_frequency(j: int, p: float, streak: int, trials: int, seed: int = 0) -> McResult:
     """Estimate the probability a liar survives ``streak`` volunteering
     rounds without a penalty, by simulating its credit sequence."""
-    _check_round_params(p, j)
-    if streak < 0:
-        raise ValueError("streak must be >= 0")
+    check_j(j)
+    check_p(p)
+    check_streak(streak)
     if trials < _MIN_TRIALS:
         raise ValueError(f"trials must be >= {_MIN_TRIALS}")
     draw = _draws(Stream.from_path(seed, "mc-escape"))
@@ -86,9 +90,9 @@ def enumerate_escape_probability(j: int, p: float, streak: int) -> float:
     round where another volunteer was picked), multiplying branch
     probabilities and summing the leaves exactly.
     """
-    _check_round_params(p, j)
-    if streak < 0:
-        raise ValueError("streak must be >= 0")
+    check_j(j)
+    check_p(p)
+    check_streak(streak)
     if streak > _MAX_ENUM_STREAK:
         raise ValueError(
             f"streak {streak} too large to enumerate (2**streak sequences; "
@@ -121,10 +125,3 @@ def _draws(stream: Stream):
     """The stream's ``next_u64`` outputs in order, made ``_BLOCK`` at a time
     by ``Stream.u64s``; returns the iterator's ``__next__``."""
     return chain.from_iterable(map(stream.u64s, repeat(_BLOCK))).__next__
-
-
-def _check_round_params(p: float, j: int) -> None:
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be within [0, 1]")

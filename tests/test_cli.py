@@ -1,11 +1,13 @@
 import os
 import re
+import shlex
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from trustsim.chart import SVG_NS
-from trustsim.cli import _with_seed_suffix, main
+from trustsim.cli import _build_parser, _with_seed_suffix, main
 from trustsim.engine import METRICS_CSV_HEADER
 from trustsim.game import (
     expected_liar_payoff,
@@ -71,6 +73,60 @@ def test_analyze_rejects_pure_trust_selection(capsys):
 
 def test_analyze_usage_error():
     assert run_cli("analyze", "--n", "100") == 2
+
+
+# The full report, byte for byte, for a dominance win, a tie (n = 1: truth
+# and lying both earn 1 per round) and non-default reward and cost.
+ANALYZE_GOLDEN = [
+    (["--n", "100", "--j", "30", "--p", "0.9"], """\
+calibration for n=100 j=30 p=0.9
+  penalty_bound_dominance  = 296.00000000000006
+  penalty_bound_descending = 299.00000000000006
+  recommended_penalty      = 328.9000000000001  (margin 0.1)
+  liar_payoff_at_penalty   = -0.09966666666666668
+  recommended_threshold    = 1381  (epsilon 0.01)
+  lying_dominated          = True
+payoff matrix (requester / responder):
+                             truthful |                    lying
+  by_trust                 9.0 / 0.01 |                9.0 / 1.0
+  random                   9.0 / 0.01 | -1.0 / -9.99666666666667
+dominance outcome: (by_trust, lying)
+"""),
+    (["--n", "1", "--j", "30", "--p", "0.9"], """\
+calibration for n=1 j=30 p=0.9
+  penalty_bound_dominance  = -0.9999999999999964
+  penalty_bound_descending = 299.00000000000006
+  recommended_penalty      = 328.9000000000001  (margin 0.1)
+  liar_payoff_at_penalty   = -0.09966666666666668
+  recommended_threshold    = 1381  (epsilon 0.01)
+  lying_dominated          = True
+payoff matrix (requester / responder):
+                             truthful |                    lying
+  by_trust                  9.0 / 1.0 |                9.0 / 1.0
+  random                    9.0 / 1.0 | -1.0 / -9.99666666666667
+dominance outcome: tie — surviving strategies ['by_trust'] x ['truthful', 'lying']
+"""),
+    (["--n", "3", "--j", "2", "--p", "0.3", "--reward", "5", "--cost", "2"], """\
+calibration for n=3 j=2 p=0.3
+  penalty_bound_dominance  = 0.9047619047619047
+  penalty_bound_descending = 1.857142857142857
+  recommended_penalty      = 2.0428571428571427  (margin 0.1)
+  liar_payoff_at_penalty   = -0.06499999999999995
+  recommended_threshold    = 12  (epsilon 0.01)
+  lying_dominated          = True
+payoff matrix (requester / responder):
+                               truthful |                      lying
+  by_trust     3.0 / 0.3333333333333333 |                  3.0 / 1.0
+  random       3.0 / 0.3333333333333333 | -2.0 / -0.5214285714285714
+dominance outcome: (by_trust, lying)
+"""),
+]
+
+
+@pytest.mark.parametrize("argv, expected", ANALYZE_GOLDEN, ids=["win", "tie", "reward-cost"])
+def test_analyze_output_is_unchanged(argv, expected, capsys):
+    assert run_cli("analyze", *argv) == 0
+    assert capsys.readouterr().out == expected
 
 
 # --- simulate ---
@@ -332,6 +388,19 @@ def test_oracle_invalid_params(capsys):
                    "--j", "0", "--trials", "2000") == 2
     assert run_cli("oracle", "escape", "--j", "30", "--p", "1.5", "--streak", "1",
                    "--trials", "2000") == 2
+    assert run_cli("oracle", "liar-payoff", "--p", "0.9", "--penalty", "-5",
+                   "--j", "30", "--trials", "1000") == 2
+    assert "penalty must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, trials", [("1e6", 10**6), ("1000.9", None), ("nan", None)])
+def test_oracle_trials_must_be_a_whole_number(value, trials, capsys):
+    argv = ["oracle", "escape", "--j", "30", "--p", "0.9", "--streak", "1", "--trials", value]
+    if trials is None:
+        assert run_cli(*argv) == 2
+        assert "argument --trials: expected a" in capsys.readouterr().err
+    else:
+        assert _build_parser().parse_args(argv).trials == trials
 
 
 def test_oracle_scientific_trials(capsys):
@@ -339,6 +408,27 @@ def test_oracle_scientific_trials(capsys):
                    "--trials", "1e4", "--seed", "2")
     assert code == 0
     assert "trials=10000" in capsys.readouterr().out
+
+
+# --- README ---
+
+
+def test_readme_commands_parse():
+    """Every ``trustsim`` line in the README's sh blocks parses (none is run)."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+        for line in block.splitlines()
+        if line.startswith("trustsim ")
+    ]
+    assert {argv[0] for argv in commands} == {"analyze", "simulate", "oracle", "plot"}
+    parser = _build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: trustsim {shlex.join(argv)}")
 
 
 # --- plot ---

@@ -105,6 +105,9 @@ def test_mc_validates_inputs():
         mc_liar_payoff(1.2, 10.0, 3, trials=2000)
     with pytest.raises(ValueError):
         mc_liar_payoff(0.9, 10.0, 3, trials=500)  # too few trials
+    for penalty in (-5.0, math.nan):
+        with pytest.raises(ValueError, match="penalty must be >= 0"):
+            mc_liar_payoff(0.9, penalty, 3, trials=2000)
     with pytest.raises(ValueError):
         mc_escape_frequency(3, 0.5, -1, trials=2000)
     with pytest.raises(ValueError):
