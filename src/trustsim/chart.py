@@ -35,9 +35,11 @@ def render_chart(series: MetricsSeries) -> str:
 
     x_min = min(row.cycle for row in series.rows)
     x_max = max(row.cycle for row in series.rows)
-    y_max = max(value for _, _, pts in present for _, value in pts)
+    values = [value for _, _, pts in present for _, value in pts]
+    # Trust can fall below 0 when the floor is negative.
+    y_min, y_max = min(0, min(values)), max(values)
     x_span = max(x_max - x_min, 1)
-    y_span = max(y_max, 1e-9)
+    y_span = max(y_max - y_min, 1e-9)
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
@@ -46,7 +48,7 @@ def render_chart(series: MetricsSeries) -> str:
         return _MARGIN_LEFT + (x - x_min) / x_span * plot_w
 
     def sy(y: float) -> float:
-        return _MARGIN_TOP + plot_h - y / y_span * plot_h
+        return _MARGIN_TOP + plot_h - (y - y_min) / y_span * plot_h
 
     parts = [
         f'<svg xmlns="{SVG_NS}" viewBox="0 0 {_WIDTH} {_HEIGHT}" '
@@ -64,7 +66,7 @@ def render_chart(series: MetricsSeries) -> str:
     )
     for i in range(6):
         xv = x_min + x_span * i / 5
-        yv = y_span * i / 5
+        yv = y_min + y_span * i / 5
         parts.append(
             f'<text x="{sx(xv):.1f}" y="{axis_y + 18}" text-anchor="middle">{xv:g}</text>'
         )

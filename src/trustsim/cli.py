@@ -153,7 +153,8 @@ def _cmd_analyze(args) -> int:
     print(f"  recommended_penalty      = {penalty!r}  (margin {args.margin!r})")
     print(f"  liar_payoff_at_penalty   = {liar_payoff!r}")
     print(f"  recommended_threshold    = {threshold}  (epsilon {args.epsilon!r})")
-    print(f"  lying_dominated          = {game.lying_is_dominated(params)}")
+    print(f"  lying_dominated          = {game.lying_is_dominated(params)}"
+          "  (mechanism: by trust with probability p, 1/n vs liar payoff)")
     print("payoff matrix (requester / responder):")
     rows = {
         sel.value: [
@@ -169,12 +170,14 @@ def _cmd_analyze(args) -> int:
         print(f"  {label:10s} {cells[0]:>{width}s} | {cells[1]:>{width}s}")
     if result.profile is not None:
         sel, resp = result.profile
-        print(f"dominance outcome: ({sel.value}, {resp.value})")
+        outcome = f"({sel.value}, {resp.value})"
     else:
-        print(
-            "dominance outcome: tie — surviving strategies "
+        outcome = (
+            "tie — surviving strategies "
             f"{[s.value for s in result.requester]} x {[r.value for r in result.responder]}"
         )
+    print(f"dominance outcome: {outcome}"
+          "  (pure strategies of the matrix: the requester may always select by trust)")
     return EXIT_OK
 
 

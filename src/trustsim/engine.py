@@ -32,12 +32,11 @@ holdings, one stream per round for everything in that round — so a run is
 byte-reproducible from its configuration.
 
 Draw, then apply: a round's stream depends only on the seed and the round
-index, so ``run_cycle`` takes each round's state and first draws from
-``rng.round_draws`` (lane passes shared by many rounds), draws the round
-with ``draw_round``, which reads no trust, and then applies it with
-``run_round``.  Draw ``k`` of a round is output ``k`` of its stream,
-consumed in the order requester, file (redrawn while the requester holds
-it), volunteers, selection.
+index, so ``run_cycle`` takes each round's draws from ``rng.round_draws``
+(lane passes shared by many rounds) as one iterator, draws the round with
+``draw_round``, which reads no trust, and then applies it with
+``run_round``.  The draws are consumed in stream order: requester, file
+(redrawn while the requester holds it), volunteers, selection.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .game import Selection
 from .ledger import EventKind, LedgerConfig, TrustEvent, TrustLedger
@@ -56,7 +55,6 @@ from .rng import (
     Stream,
     derive_seed,
     draw_hypergeom,
-    extend_draws,
     hypergeom_cdf,
     round_draws,
 )
@@ -274,14 +272,9 @@ class Population:
         self._cdfs = None
         return peer_id
 
-    def volunteers(
-        self, draws: list[int], state: int, at: int, requester_id: int, file_id: int
-    ) -> tuple[list[int], int]:
-        """Draw one query's volunteer set from ``draws[at:]``.
-
-        ``draws`` holds the first outputs of ``Stream(state)`` and is
-        extended from there when the draw needs more.  Returns the
-        volunteers and the index of the first draw not used.
+    def volunteers(self, draws: Iterator[int], requester_id: int, file_id: int) -> list[int]:
+        """Draw one query's volunteer set, taking from ``draws`` (raw 64-bit
+        stream outputs) the draws it uses and no more.
 
         Equivalent in distribution to sampling ``reach`` of the other peers
         uniformly without replacement and keeping all liars plus truthful
@@ -310,22 +303,13 @@ class Population:
             pool[pos], pool[liar_limit] = pool[liar_limit], pool[pos]
         liar_draws = 0
         if liar_limit > 0:
-            if at == len(draws):
-                extend_draws(draws, state, at + 1)
             cdf = self._cdfs[1] if requester_is_liar else self._cdfs[0]
-            liar_draws = draw_hypergeom(cdf, (draws[at] >> 11) * RANDOM_SCALE)
-            at += 1
+            liar_draws = draw_hypergeom(cdf, (next(draws) >> 11) * RANDOM_SCALE)
 
-        # The liar draws and then one draw per holder scanned, as
-        # stream.randbelow() and stream.random() would make them.
-        holders = self.holders_by_file[file_id]
-        scan = at + liar_draws
-        if len(draws) < scan + len(holders):
-            extend_draws(draws, state, scan + len(holders))
         # Partial Fisher-Yates: swap i with ks[i] = i + randbelow(liar_limit -
         # i); the swaps are undone in reverse so the pool is left as it was.
         ks = []
-        for i, u in enumerate(draws[at:scan]):
+        for i, u in zip(range(liar_draws), draws):
             k = i + ((u * (liar_limit - i)) >> 64)
             pool[i], pool[k] = pool[k], pool[i]
             ks.append(k)
@@ -338,19 +322,21 @@ class Population:
 
         # Truthful holders: each is in the sample's remaining slots with the
         # exact conditional probability given how many slots are left among
-        # the non-liar peers.
+        # the non-liar peers.  One draw per holder scanned: zip takes a draw
+        # only for a holder it reaches, and no holder is scanned once the
+        # slots run out.
         slots = self.config.reach - liar_draws
         available = self.size - 1 - liar_limit
         scale = RANDOM_SCALE
-        for pid, u in zip(holders, draws[scan:scan + len(holders)]):
-            if slots <= 0:
-                break
-            scan += 1
+        holders = self.holders_by_file[file_id] if slots else ()
+        for pid, u in zip(holders, draws):
             if (u >> 11) * scale * available < slots:  # stream.random() * available
                 volunteers.append(pid)
                 slots -= 1
+                if not slots:
+                    break
             available -= 1
-        return volunteers, scan
+        return volunteers
 
 
 def build_population(config: SimConfig) -> Population:
@@ -423,9 +409,9 @@ class Simulation:
         size = self.population.size
         prefix = derive_seed(config.rng_seed, "round")
         successes = failures = 0
-        for state, draws in round_draws(prefix, self.round_index, config.queries_per_cycle):
-            requester = (draws[0] * size) >> 64  # stream.randbelow(size)
-            record = self.run_round(requester, self.draw_round(requester, state, draws, 1))
+        for draws in round_draws(prefix, self.round_index, config.queries_per_cycle):
+            requester = (next(draws) * size) >> 64  # stream.randbelow(size)
+            record = self.run_round(requester, self.draw_round(requester, draws))
             if record.outcome is Outcome.SUCCESS:
                 successes += 1
             elif record.outcome is Outcome.FAILURE:
@@ -433,28 +419,22 @@ class Simulation:
         return self._metrics_row(cycle, successes, failures)
 
     def draw_round(
-        self, requester_id: int, state: int, draws: list[int], at: int
+        self, requester_id: int, draws: Iterator[int]
     ) -> tuple[int, list[int], int, int]:
         """The file, the volunteers and the two selection draws of a round for
-        ``requester_id`` whose stream is ``Stream(state)``, from
-        ``draws[at:]`` (its outputs from ``at`` on, extended when they run
-        out); ``run_round`` applies them.  Raises IndexError unless
-        ``0 <= requester_id < population.size``."""
+        ``requester_id``, taken in order from ``draws``, the round's stream
+        outputs after the requester draw; ``run_round`` applies them.
+        Raises IndexError unless ``0 <= requester_id < population.size``."""
         if not 0 <= requester_id < self.population.size:
             raise IndexError(f"requester {requester_id} is not a peer id")
         holdings = self.population.holdings[requester_id]
         catalog = self.config.catalog_size
-        while True:
-            if at == len(draws):
-                extend_draws(draws, state, at + 1)
-            file_id = (draws[at] * catalog) >> 64  # stream.randbelow(catalog)
-            at += 1
+        for u in draws:
+            file_id = (u * catalog) >> 64  # stream.randbelow(catalog)
             if file_id not in holdings:
                 break
-        volunteers, at = self.population.volunteers(draws, state, at, requester_id, file_id)
-        if len(draws) < at + 2:
-            extend_draws(draws, state, at + 2)
-        return file_id, volunteers, draws[at], draws[at + 1]
+        volunteers = self.population.volunteers(draws, requester_id, file_id)
+        return file_id, volunteers, next(draws), next(draws)
 
     def run_round(
         self, requester_id: int, drawn: tuple[int, list[int], int, int]

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 
 from .game import check_j, check_p, check_penalty, check_streak
-from .rng import RANDOM_SCALE, Stream
+from .rng import RANDOM_SCALE, derive_seed, u64_blocks
 
 _MIN_TRIALS = 1000
 _MAX_ENUM_STREAK = 20
@@ -47,7 +47,7 @@ def mc_liar_payoff(p: float, penalty: float, j: int, trials: int, seed: int = 0)
     check_penalty(penalty)
     if trials < _MIN_TRIALS:
         raise ValueError(f"trials must be >= {_MIN_TRIALS}")
-    draw = _draws(Stream.from_path(seed, "mc-liar-payoff"))
+    draw = chain.from_iterable(u64_blocks(derive_seed(seed, "mc-liar-payoff"), _BLOCK)).__next__
     scale = RANDOM_SCALE
     credited = 0
     for _ in range(trials):
@@ -68,7 +68,7 @@ def mc_escape_frequency(j: int, p: float, streak: int, trials: int, seed: int = 
     check_streak(streak)
     if trials < _MIN_TRIALS:
         raise ValueError(f"trials must be >= {_MIN_TRIALS}")
-    draw = _draws(Stream.from_path(seed, "mc-escape"))
+    draw = chain.from_iterable(u64_blocks(derive_seed(seed, "mc-escape"), _BLOCK)).__next__
     scale = RANDOM_SCALE
     survived = 0
     for _ in range(trials):
@@ -119,9 +119,3 @@ def within_sigmas(expected: float, result: McResult, sigmas: float = 4.0) -> boo
     if result.std_error == 0.0:
         return result.mean == expected
     return abs(result.mean - expected) <= sigmas * result.std_error
-
-
-def _draws(stream: Stream):
-    """The stream's ``next_u64`` outputs in order, made ``_BLOCK`` at a time
-    by ``Stream.u64s``; returns the iterator's ``__next__``."""
-    return chain.from_iterable(map(stream.u64s, repeat(_BLOCK))).__next__

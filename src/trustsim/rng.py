@@ -40,18 +40,19 @@ scheme can be reimplemented exactly:
   ``int.to_bytes`` as little-endian words, every second word.  Widths
   come from the fixed list ``_WIDTHS``; a longer block than the widest is
   made in pieces of that many lanes.
-* Round draws: ``round_draws(prefix, start, count)`` gives the state of
-  each path ``(*path, start + i)``, ``i < count``, with its first
-  ``BLOCK_WIDTH`` outputs, ``BLOCK_GROUP`` paths per pass.  For ``prefix
-  = derive_seed(master, *path)``, one lane pass derives the states as
-  ``mix64(prefix XOR mix64((start + i + GOLDEN) mod 2**64))``, ``start +
-  i`` in lane ``i``.  A second applies the block rule to every state at
-  once: state ``g`` fills lanes ``g * BLOCK_WIDTH`` to ``(g + 1) *
-  BLOCK_WIDTH - 1``, built from the bytes of its 128-bit lane repeated
-  (no multiply), plus the lane steps ``(k + 1) * GOLDEN`` in lane ``k`` of
-  each state's lanes.  Output ``k >= BLOCK_WIDTH`` of a stream is output
-  ``k - BLOCK_WIDTH`` of ``Stream(state + BLOCK_WIDTH * GOLDEN)``;
-  ``extend_draws`` continues a block that way.
+* Round draws: ``round_draws(prefix, start, count)`` gives one iterator
+  over the outputs of each path ``(*path, start + i)``, ``i < count``,
+  ``BLOCK_GROUP`` paths per pass.  For ``prefix = derive_seed(master,
+  *path)``, one lane pass derives the states as ``mix64(prefix XOR
+  mix64((start + i + GOLDEN) mod 2**64))``, ``start + i`` in lane ``i``.
+  A second applies the block rule to every state at once, for its first
+  ``BLOCK_WIDTH`` outputs: state ``g`` fills lanes ``g * BLOCK_WIDTH`` to
+  ``(g + 1) * BLOCK_WIDTH - 1``, built from the bytes of its 128-bit lane
+  repeated (no multiply), plus the lane steps ``(k + 1) * GOLDEN`` in lane
+  ``k`` of each state's lanes.  Tail rule: output ``k >= BLOCK_WIDTH`` of
+  a stream is output ``k - BLOCK_WIDTH`` of ``Stream(state + BLOCK_WIDTH *
+  GOLDEN)``, made by ``u64s`` ``TAIL_BLOCK`` at a time, each block only
+  when the iterator reaches it.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left
 from collections.abc import Iterator
+from itertools import chain
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -73,6 +75,9 @@ _MAX_LANES = _WIDTHS[-1]
 # about 1 MB in some runs.
 BLOCK_WIDTH = 64
 BLOCK_GROUP = 16
+# Outputs per block past a round's first BLOCK_WIDTH.  A churn round uses
+# about 200 draws, so BLOCK_WIDTH + TAIL_BLOCK cover it with one block.
+TAIL_BLOCK = 192
 # random() is (next_u64() >> 11) * RANDOM_SCALE, a float in [0, 1).
 RANDOM_SCALE = 2.0**-53
 
@@ -136,11 +141,12 @@ def derive_seed(master_seed: int, *path: int | str) -> int:
     return state
 
 
-def round_draws(prefix: int, start: int, count: int) -> Iterator[tuple[int, list[int]]]:
-    """``(state, draws)`` of the paths ``(*path, start + i)``, ``i < count``,
-    for ``prefix = derive_seed(master, *path)``: ``draws`` are the first
-    ``BLOCK_WIDTH`` outputs of ``Stream(state)`` (see the module docstring),
-    each list made when it is reached, not a whole pass's lists at once."""
+def round_draws(prefix: int, start: int, count: int) -> Iterator[Iterator[int]]:
+    """The outputs of ``Stream(derive_seed(master, *path, start + i))``,
+    ``i < count``, one iterator per round, for ``prefix =
+    derive_seed(master, *path)`` (see the module docstring).  Each iterator
+    is made when it is reached, and its tail blocks when it is consumed
+    past them."""
     if count < 0:
         raise ValueError("round_draws requires count >= 0")
     reader = _BLOCKS[BLOCK_WIDTH][0]
@@ -156,18 +162,16 @@ def round_draws(prefix: int, start: int, count: int) -> Iterator[tuple[int, list
         z = _mix_lanes((int.from_bytes(packed, "little") + (_GROUP_STEPS >> cut)) & mask, mask)
         buf = z.to_bytes(reader.size * lanes, "little")
         for g, state in enumerate(states):
-            yield state, list(reader.unpack_from(buf, g * reader.size))
+            tail = u64_blocks(state + BLOCK_WIDTH * _GOLDEN, TAIL_BLOCK)
+            yield chain(reader.unpack_from(buf, g * reader.size), chain.from_iterable(tail))
 
 
-def extend_draws(draws: list[int], state: int, count: int) -> None:
-    """Extend ``draws``, the first outputs of ``Stream(state)``, to at least
-    its first ``count`` outputs: to the end of the lane width that holds
-    them, which the block computes anyway."""
-    more = count - len(draws)
-    if more > 0:
-        if more < _MAX_LANES:
-            more = _WIDTHS[bisect_left(_WIDTHS, more)]
-        draws += Stream(state + len(draws) * _GOLDEN).u64s(more)
+def u64_blocks(state: int, size: int) -> Iterator[list[int]]:
+    """The outputs of ``Stream(state)`` in blocks of ``size``, each block
+    made by ``u64s`` when it is reached."""
+    stream = Stream(state)
+    while True:
+        yield stream.u64s(size)
 
 
 class Stream:

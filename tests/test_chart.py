@@ -65,6 +65,31 @@ def test_newcomer_series_starts_at_injection():
     assert len(line.get("points").split()) == 10  # cycles 10..19 only
 
 
+def series_of(values) -> MetricsSeries:
+    """``values`` as the good-founder averages, one cycle each."""
+    return MetricsSeries([
+        MetricsRow(cycle, value, None, None, None, None, 0) for cycle, value in enumerate(values)
+    ])
+
+
+@pytest.mark.parametrize("values", [
+    [-19.5, -19.0, -18.7],  # a negative floor: every average below 0
+    [-4.0, 0.0, 3.5, 10.0],  # both signs
+    [-3.0, -3.0],  # one value
+    [0.0, 1.0, 6.0],
+], ids=["negative", "both-signs", "flat", "non-negative"])
+def test_every_point_lies_inside_the_plot_area(values):
+    root = ET.fromstring(render_chart(series_of(values)))
+    axes = next(g for g in root.iter(f"{{{SVG_NS}}}g") if g.get("class") == "axes")
+    y_axis, x_axis = axes.findall(f"{{{SVG_NS}}}line")
+    left, right = float(x_axis.get("x1")), float(x_axis.get("x2"))
+    top, bottom = float(y_axis.get("y1")), float(y_axis.get("y2"))
+    for line in polylines(ET.tostring(root, encoding="unicode")):
+        for point in line.get("points").split():
+            x, y = map(float, point.split(","))
+            assert left <= x <= right and top <= y <= bottom, point
+
+
 def test_write_chart_round_trip(tmp_path):
     csv_path = tmp_path / "metrics.csv"
     svg_path = tmp_path / "chart.svg"

@@ -85,12 +85,12 @@ calibration for n=100 j=30 p=0.9
   recommended_penalty      = 328.9000000000001  (margin 0.1)
   liar_payoff_at_penalty   = -0.09966666666666668
   recommended_threshold    = 1381  (epsilon 0.01)
-  lying_dominated          = True
+  lying_dominated          = True  (mechanism: by trust with probability p, 1/n vs liar payoff)
 payoff matrix (requester / responder):
                              truthful |                    lying
   by_trust                 9.0 / 0.01 |                9.0 / 1.0
   random                   9.0 / 0.01 | -1.0 / -9.99666666666667
-dominance outcome: (by_trust, lying)
+dominance outcome: (by_trust, lying)  (pure strategies of the matrix: the requester may always select by trust)
 """),
     (["--n", "1", "--j", "30", "--p", "0.9"], """\
 calibration for n=1 j=30 p=0.9
@@ -99,12 +99,12 @@ calibration for n=1 j=30 p=0.9
   recommended_penalty      = 328.9000000000001  (margin 0.1)
   liar_payoff_at_penalty   = -0.09966666666666668
   recommended_threshold    = 1381  (epsilon 0.01)
-  lying_dominated          = True
+  lying_dominated          = True  (mechanism: by trust with probability p, 1/n vs liar payoff)
 payoff matrix (requester / responder):
                              truthful |                    lying
   by_trust                  9.0 / 1.0 |                9.0 / 1.0
   random                    9.0 / 1.0 | -1.0 / -9.99666666666667
-dominance outcome: tie — surviving strategies ['by_trust'] x ['truthful', 'lying']
+dominance outcome: tie — surviving strategies ['by_trust'] x ['truthful', 'lying']  (pure strategies of the matrix: the requester may always select by trust)
 """),
     (["--n", "3", "--j", "2", "--p", "0.3", "--reward", "5", "--cost", "2"], """\
 calibration for n=3 j=2 p=0.3
@@ -113,12 +113,12 @@ calibration for n=3 j=2 p=0.3
   recommended_penalty      = 2.0428571428571427  (margin 0.1)
   liar_payoff_at_penalty   = -0.06499999999999995
   recommended_threshold    = 12  (epsilon 0.01)
-  lying_dominated          = True
+  lying_dominated          = True  (mechanism: by trust with probability p, 1/n vs liar payoff)
 payoff matrix (requester / responder):
                                truthful |                      lying
   by_trust     3.0 / 0.3333333333333333 |                  3.0 / 1.0
   random       3.0 / 0.3333333333333333 | -2.0 / -0.5214285714285714
-dominance outcome: (by_trust, lying)
+dominance outcome: (by_trust, lying)  (pure strategies of the matrix: the requester may always select by trust)
 """),
 ]
 

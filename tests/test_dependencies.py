@@ -1,0 +1,35 @@
+"""The package has no runtime dependencies: importing it loads only the
+standard library (the README's promise; the benchmark's ``peak_rss_mb``
+ruled out numpy)."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Imports every trustsim module and prints the modules that loaded.
+_PROBE = """
+import importlib, json, pkgutil, sys
+before = set(sys.modules)
+import trustsim
+for module in pkgutil.walk_packages(trustsim.__path__, "trustsim."):
+    importlib.import_module(module.name)
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_importing_every_module_loads_only_the_standard_library():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", _PROBE], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    loaded = json.loads(out)
+    assert "trustsim.engine" in loaded and "trustsim.cli" in loaded
+    outside = [
+        name for name in loaded
+        if name.partition(".")[0] not in sys.stdlib_module_names | {"trustsim"}
+    ]
+    assert outside == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trustsim import engine
+from trustsim import rng
 from trustsim.engine import (
     Behavior,
     ConfigError,
@@ -327,9 +327,7 @@ def test_round_unknown_requester_rejected():
 def draw_volunteers(population, stream, requester, file_id):
     """``Population.volunteers`` with the draws of ``stream`` from its state
     on; the stream then moves past the draws used, as scalar draws would."""
-    volunteers, used = population.volunteers([], stream._state, 0, requester, file_id)
-    stream.u64s(used)
-    return volunteers
+    return population.volunteers(iter(stream.next_u64, None), requester, file_id)
 
 
 def test_truthful_volunteers_always_hold_the_file():
@@ -523,7 +521,7 @@ def test_volunteer_draw_equals_scalar_reference(case):
     block, scalar = Stream.from_path(seed, "prop"), Stream.from_path(seed, "prop")
     expected = scalar_volunteers(population, scalar, requester, file_id)
     assert draw_volunteers(population, block, requester, file_id) == expected
-    assert block._state == scalar._state
+    assert block.next_u64() == scalar.next_u64()  # the same draws were used
 
 
 def test_volunteer_draw_equals_scalar_reference_in_edge_cases():
@@ -542,7 +540,7 @@ def test_volunteer_draw_equals_scalar_reference_in_edge_cases():
                     scalar = Stream.from_path(seed, "edge", requester)
                     expected = scalar_volunteers(population, scalar, requester, file_id)
                     got = draw_volunteers(population, block, requester, file_id)
-                    assert got == expected and block._state == scalar._state
+                    assert got == expected and block.next_u64() == scalar.next_u64()
                     # The scan stopped early: the slots ran out before the
                     # last holder was reached.
                     holders = population.holders_by_file[file_id]
@@ -626,14 +624,15 @@ def scalar_cycle(sim, cycle, records, cases):
 def check_run_cycle_against_scalar(config):
     """Run ``config`` through ``run_cycle`` and through ``scalar_cycle``;
     both must give the same rows, records, events and scores.  Returns
-    the cases seen, including the rounds ``run_cycle`` drew past their
-    first block."""
-    cases = {"file re-draws": 0, "liar requesters": 0, "block extensions": 0}
-    extend = engine.extend_draws
+    the cases seen, including the tail blocks that rounds of ``run_cycle``
+    drew past their first ``BLOCK_WIDTH`` draws."""
+    cases = {"file re-draws": 0, "liar requesters": 0, "tail blocks": 0}
+    u64_blocks = rng.u64_blocks
 
-    def counting_extend(*args):
-        cases["block extensions"] += 1
-        extend(*args)
+    def counting_blocks(*args):
+        for block in u64_blocks(*args):
+            cases["tail blocks"] += 1
+            yield block
 
     events = []
     sim = Simulation(config, event_sink=events.append)
@@ -641,7 +640,7 @@ def check_run_cycle_against_scalar(config):
     apply = sim.run_round
     sim.run_round = lambda *args: records.append(apply(*args)) or records[-1]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "extend_draws", counting_extend)
+        patch.setattr(rng, "u64_blocks", counting_blocks)
         rows = [sim.run_cycle(cycle) for cycle in range(config.total_cycles)]
 
     ref_events = []
@@ -689,8 +688,8 @@ def test_run_cycle_equals_scalar_reference(config):
 
 
 def test_run_cycle_equals_scalar_reference_in_edge_cases():
-    """Rounds that need more than the block's draws (about 60 holders per
-    file), file re-draws (a requester holds half the catalog), liar
+    """Rounds that draw from the tail, past their first ``BLOCK_WIDTH``
+    draws (about 60 holders per file), file re-draws (a requester holds half the catalog), liar
     requesters, and zero liars: each must occur."""
     many_holders = dict(good_founders=100, bad_founders=20, catalog_size=12, n=2, reach=80)
     seen = {}
@@ -707,8 +706,7 @@ def test_run_cycle_equals_scalar_reference_in_edge_cases():
             cases["zero liars"] = 1
         for case, count in cases.items():
             seen[case] = seen.get(case, 0) + count
-    assert set(seen) == {"file re-draws", "liar requesters", "block extensions",
-                         "zero liars"}
+    assert set(seen) == {"file re-draws", "liar requesters", "tail blocks", "zero liars"}
     assert all(seen.values()), seen
 
 

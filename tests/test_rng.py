@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 from math import comb
 
 import pytest
@@ -9,10 +10,10 @@ from trustsim.rng import (
     _WIDTHS,
     BLOCK_GROUP,
     BLOCK_WIDTH,
+    TAIL_BLOCK,
     Stream,
     derive_seed,
     draw_hypergeom,
-    extend_draws,
     hypergeom_cdf,
     round_draws,
 )
@@ -105,32 +106,17 @@ ROUND_PATHS = (
 
 @settings(max_examples=200, deadline=None)
 @given(*ROUND_PATHS)
-def test_derived_states_equal_derive_seed(seed, start, count):
+def test_round_draws_are_the_round_streams(seed, start, count):
     # Starts near 2**64 put indexes past it in the same pass; derive_seed
-    # takes an int part modulo 2**64, and so do the lanes.
-    prefix = derive_seed(seed, "round")
-    assert [state for state, _ in round_draws(prefix, start, count)] == [
-        derive_seed(seed, "round", start + i) for i in range(count)
-    ]
-
-
-@settings(max_examples=200, deadline=None)
-@given(*ROUND_PATHS)
-def test_first_draws_equal_block_draws_per_state(seed, start, count):
-    pairs = list(round_draws(derive_seed(seed, "round"), start, count))
-    assert len(pairs) == count
-    assert [draws for _, draws in pairs] == [
-        Stream(state).u64s(BLOCK_WIDTH) for state, _ in pairs
-    ]
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2**64 - 1), st.integers(0, 2 * BLOCK_WIDTH), st.integers(0, 700))
-def test_extended_draws_continue_the_stream(state, have, count):
-    draws = Stream(state).u64s(have)
-    extend_draws(draws, state, count)
-    assert len(draws) >= max(have, count)
-    assert draws == Stream(state).u64s(len(draws))
+    # takes an int part modulo 2**64, and so do the lanes.  The outputs
+    # read run into a second tail block, and each round is read after the
+    # iterators of all rounds were made.
+    rounds = list(round_draws(derive_seed(seed, "round"), start, count))
+    assert len(rounds) == count
+    read = BLOCK_WIDTH + TAIL_BLOCK + 1
+    for i, draws in enumerate(rounds):
+        stream = Stream(derive_seed(seed, "round", start + i))
+        assert list(islice(draws, read)) == stream.u64s(read)
 
 
 def _exact_pmf(total, tagged, draws):
