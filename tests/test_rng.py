@@ -104,19 +104,39 @@ ROUND_PATHS = (
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(*ROUND_PATHS)
-def test_round_draws_are_the_round_streams(seed, start, count):
-    # Starts near 2**64 put indexes past it in the same pass; derive_seed
-    # takes an int part modulo 2**64, and so do the lanes.  The outputs
-    # read run into a second tail block, and each round is read after the
-    # iterators of all rounds were made.
+def _round_streams(seed, start, count):
+    """Each round's iterator from round_draws, with the scalar stream it
+    must equal; all iterators are made before any is read."""
     rounds = list(round_draws(derive_seed(seed, "round"), start, count))
     assert len(rounds) == count
-    read = BLOCK_WIDTH + TAIL_BLOCK + 1
-    for i, draws in enumerate(rounds):
-        stream = Stream(derive_seed(seed, "round", start + i))
+    return [(draws, Stream(derive_seed(seed, "round", start + i))) for i, draws in enumerate(rounds)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(*ROUND_PATHS)
+def test_derived_states_equal_derive_seed(seed, start, count):
+    # Starts near 2**64 put indexes past it in the same pass; derive_seed
+    # takes an int part modulo 2**64, and so do the lanes.  Output 0 of a
+    # round fixes its state, as mix64 is a bijection.
+    for draws, stream in _round_streams(seed, start, count):
+        assert next(draws) == stream.next_u64()
+
+
+@settings(max_examples=200, deadline=None)
+@given(*ROUND_PATHS)
+def test_first_draws_equal_block_draws_per_state(seed, start, count):
+    for draws, stream in _round_streams(seed, start, count):
+        assert list(islice(draws, BLOCK_WIDTH)) == stream.u64s(BLOCK_WIDTH)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ROUND_PATHS[0], ROUND_PATHS[1], st.integers(0, BLOCK_WIDTH + 2 * TAIL_BLOCK + 5))
+def test_extended_draws_continue_the_stream(seed, start, read):
+    # Past the first BLOCK_WIDTH outputs the iterator makes tail blocks of
+    # TAIL_BLOCK as it is read; the reads run into a second one.
+    for draws, stream in _round_streams(seed, start, 2):
         assert list(islice(draws, read)) == stream.u64s(read)
+        assert next(draws) == stream.next_u64()
 
 
 def _exact_pmf(total, tagged, draws):
