@@ -46,10 +46,10 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .game import Selection
-from .ledger import EventKind, LedgerConfig, TrustEvent, TrustLedger
+from .ledger import EventKind, EventSink, LedgerConfig, TrustLedger
 from .rng import (
     RANDOM_SCALE,
     Stream,
@@ -385,7 +385,7 @@ def select_server(
 class Simulation:
     """One run: owns the population, the ledger, and the round counter."""
 
-    def __init__(self, config: SimConfig, event_sink: Callable[[TrustEvent], None] | None = None):
+    def __init__(self, config: SimConfig, event_sink: EventSink | None = None):
         self.population = build_population(config)
         self.config = self.population.config
         config = self.config
@@ -470,7 +470,7 @@ class Simulation:
             before = scores[selected]
             outcome, delta = Outcome.FAILURE, ledger.penalize(selected, round_index) - before
         ledger.credit_many(
-            (pid for pid in volunteers if pid != selected),
+            [pid for pid in volunteers if pid != selected],
             round_index,
             EventKind.VOLUNTEER_CREDIT,
         )
@@ -509,9 +509,7 @@ class Simulation:
         )
 
 
-def run_simulation(
-    config: SimConfig, event_sink: Callable[[TrustEvent], None] | None = None
-) -> "MetricsSeries":
+def run_simulation(config: SimConfig, event_sink: EventSink | None = None) -> "MetricsSeries":
     """Run the full schedule and return the per-cycle metrics."""
     return Simulation(config, event_sink=event_sink).run()
 

@@ -6,17 +6,25 @@ score ever falls below the floor (rejoining under a fresh identity starts
 at the floor, so whitewashing gains nothing).  ``TrustLedger.scores`` is a
 list indexed by the dense peer id: ``register`` appends the next peer.
 
+Each ledger call hands the optional event sink one batch,
+``(round_index, kind, delta, peer_ids, new_values)``: the changes that
+call applied, all of one kind and one applied delta, with the new score
+of each id in the order applied.  ``credit`` and ``penalize`` hand over
+batches of one (a penalty at the floor too, with delta 0); a
+``credit_many`` of no ids hands over none.  Any callable taking one batch
+is a sink: ``list.append`` keeps them, ``TrustLedger.replay`` refolds
+them, ``EventCsvSink`` writes them.
+
 A ledger instance is single-writer; concurrent readers are fine between
 writes.  The simulation engine owns one ledger and serializes mutations.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 
 class UnknownPeerError(KeyError):
@@ -31,20 +39,10 @@ class EventKind(Enum):
 
 EVENT_CSV_HEADER = "round,peer_id,kind,delta,new_value"
 
-
-@dataclass(frozen=True)
-class TrustEvent:
-    """One applied trust change.
-
-    ``delta`` is the change actually applied (a penalty clamped at the
-    floor shows the clamped delta).
-    """
-
-    round_index: int
-    peer_id: int
-    kind: EventKind
-    delta: float
-    new_value: float
+# ``delta`` is the change actually applied: a penalty clamped at the floor
+# shows the clamped delta.
+EventBatch = tuple[int, EventKind, float, Sequence[int], Sequence[float]]
+EventSink = Callable[[EventBatch], None]
 
 
 @dataclass(frozen=True)
@@ -65,16 +63,12 @@ class TrustLedger:
 
     ``scores[peer_id]`` is the trust of the peer ``register`` gave that
     id; only the ledger writes it, everyone else reads it.  An id outside
-    ``[0, len(scores))`` raises ``UnknownPeerError``.  ``event_sink``, if
-    given, receives every applied change: ``list.append`` keeps them for
-    replay checks, ``EventCsvSink`` streams them to a trace file.
+    ``[0, len(scores))`` raises ``UnknownPeerError`` before any score
+    changes.  ``event_sink``, if given, receives one batch per ledger call
+    (see the module docstring).
     """
 
-    def __init__(
-        self,
-        config: LedgerConfig,
-        event_sink: Callable[[TrustEvent], None] | None = None,
-    ):
+    def __init__(self, config: LedgerConfig, event_sink: EventSink | None = None):
         self.config = config
         self.scores: list[float] = []
         self._event_sink = event_sink
@@ -103,7 +97,7 @@ class TrustLedger:
             raise UnknownPeerError(peer_id)
         new_value = scores[peer_id] = scores[peer_id] + 1.0
         if self._event_sink is not None:
-            self._event_sink(TrustEvent(round_index, peer_id, kind, 1.0, new_value))
+            self._event_sink((round_index, kind, 1.0, (peer_id,), (new_value,)))
         return new_value
 
     def credit_many(
@@ -112,18 +106,27 @@ class TrustLedger:
         round_index: int = 0,
         kind: EventKind = EventKind.VOLUNTEER_CREDIT,
     ) -> None:
-        """Bulk +1 credits (the engine's hot path)."""
+        """Bulk +1 credits (the engine's hot path); a repeated id is
+        credited once per occurrence.  All ids are checked first, so a bad
+        one changes no score."""
         if kind is EventKind.PENALTY:
             raise ValueError("credit cannot record a PENALTY event")
+        ids = tuple(peer_ids)
         scores = self.scores
         peers = len(scores)
-        sink = self._event_sink
-        for pid in peer_ids:
+        for pid in ids:
             if not 0 <= pid < peers:
                 raise UnknownPeerError(pid)
-            new_value = scores[pid] = scores[pid] + 1.0
-            if sink is not None:
-                sink(TrustEvent(round_index, pid, kind, 1.0, new_value))
+        sink = self._event_sink
+        if sink is None:
+            for pid in ids:
+                scores[pid] += 1.0
+        elif ids:
+            new_values = []
+            for pid in ids:
+                new_value = scores[pid] = scores[pid] + 1.0
+                new_values.append(new_value)
+            sink((round_index, kind, 1.0, ids, new_values))
 
     def penalize(self, peer_id: int, round_index: int = 0) -> float:
         """Apply the penalty, clamped at the floor; returns the updated trust."""
@@ -138,44 +141,49 @@ class TrustLedger:
         scores[peer_id] = new_value
         if self._event_sink is not None:
             self._event_sink(
-                TrustEvent(round_index, peer_id, EventKind.PENALTY, new_value - old, new_value)
+                (round_index, EventKind.PENALTY, new_value - old, (peer_id,), (new_value,))
             )
         return new_value
 
     @staticmethod
     def replay(
-        events: Iterable[TrustEvent],
+        batches: Iterable[EventBatch],
         config: LedgerConfig,
         peers: int,
     ) -> list[float]:
-        """Fold an event log under the update rule from the floor-initialized
-        scores of ``peers`` peers; must reproduce the live scores exactly."""
+        """Fold a log of event batches under the update rule from the
+        floor-initialized scores of ``peers`` peers; must reproduce the
+        live scores exactly."""
         scores = [config.floor] * peers
-        for event in events:
-            if event.kind is EventKind.PENALTY:
-                scores[event.peer_id] = max(
-                    config.floor, scores[event.peer_id] - config.penalty
-                )
-            else:
-                scores[event.peer_id] += 1.0
+        for _, kind, _, peer_ids, _ in batches:
+            for pid in peer_ids:
+                if kind is EventKind.PENALTY:
+                    scores[pid] = max(config.floor, scores[pid] - config.penalty)
+                else:
+                    scores[pid] += 1.0
         return scores
 
 
 class EventCsvSink:
-    """Streams trust events straight to a CSV file as they happen:
-    ``round,peer_id,kind,delta,new_value``."""
+    """Writes trust events to a trace CSV as they happen:
+    ``round,peer_id,kind,delta,new_value``, one row per change applied.
+
+    Each batch goes out in one ``fh.write``, so the sink holds no row back
+    and closing ``fh`` loses nothing.  Rows end in ``\\r\\n`` and are the
+    bytes ``csv.writer`` would write: no field (integers, kind names,
+    fixed-point reals) ever needs quoting.
+    """
 
     def __init__(self, fh):
-        self._writer = csv.writer(fh)
-        self._writer.writerow(EVENT_CSV_HEADER.split(","))
+        self._fh = fh
+        fh.write(EVENT_CSV_HEADER + "\r\n")
 
-    def __call__(self, event: TrustEvent) -> None:
-        self._writer.writerow(
-            [
-                event.round_index,
-                event.peer_id,
-                event.kind.value,
-                f"{event.delta:.6f}",
-                f"{event.new_value:.6f}",
-            ]
+    def __call__(self, batch: EventBatch) -> None:
+        round_index, kind, delta, peer_ids, new_values = batch
+        head = f"{round_index},"
+        middle = f",{kind.value},{delta:.6f},"
+        self._fh.write(
+            "".join(
+                [f"{head}{pid}{middle}{value:.6f}\r\n" for pid, value in zip(peer_ids, new_values)]
+            )
         )

@@ -1,5 +1,8 @@
 """Shared test helpers."""
 
+from typing import NamedTuple
+
+from trustsim.ledger import EventKind
 from trustsim.rng import Stream
 
 
@@ -8,3 +11,23 @@ def play_round(sim, requester):
     the draws of the round's own stream from its start."""
     stream = Stream.from_path(sim.config.rng_seed, "round", sim.round_index)
     return sim.run_round(requester, sim.draw_round(requester, iter(stream.next_u64, None)))
+
+
+class Event(NamedTuple):
+    """One trust change of an event batch."""
+
+    round_index: int
+    peer_id: int
+    kind: EventKind
+    delta: float
+    new_value: float
+
+
+def flatten(batches):
+    """The events of ``batches`` (as a ledger's event sink receives them),
+    one per change, in the order applied."""
+    return [
+        Event(round_index, pid, kind, delta, value)
+        for round_index, kind, delta, peer_ids, new_values in batches
+        for pid, value in zip(peer_ids, new_values, strict=True)
+    ]

@@ -41,7 +41,7 @@ from trustsim.oracle import (
     within_sigmas,
 )
 
-from helpers import play_round
+from helpers import flatten, play_round
 
 DESK = dict(
     good_founders=1400,
@@ -273,21 +273,21 @@ def test_criterion_8_determinism(desk, tmp_path):
 def test_criterion_9_ledger_invariants_randomized():
     with criterion("9 ledger invariants over 10,000 randomized rounds (<5s)"):
         started = time.perf_counter()
-        events = []
+        batches = []
         config = SimConfig(
             good_founders=20, bad_founders=6, liar_founders=6,
             catalog_size=60, n=6, p=0.8, penalty=9.0, threshold=3.0,
             total_cycles=1, rng_seed=99, reach=10, queries_per_cycle=1,
         )
-        sim = Simulation(config, event_sink=events.append)
+        sim = Simulation(config, event_sink=batches.append)
         rng = random.Random(515)
         floor = config.floor
         scores = sim.ledger.scores
         for _ in range(10_000):
             requester = rng.randrange(sim.population.size)
-            before = len(events)
+            before = len(batches)
             record = play_round(sim, requester)
-            new = events[before:]
+            new = flatten(batches[before:])
             penalties = [e for e in new if e.kind is EventKind.PENALTY]
             credits = len(new) - len(penalties)
             # conservation: one +1 per volunteer minus the penalized one
@@ -300,6 +300,7 @@ def test_criterion_9_ledger_invariants_randomized():
                 assert event.new_value >= floor
         assert all(value >= floor for value in scores)
         # monotonicity: peers never penalized never lose trust
+        events = flatten(batches)
         penalized_ids = {e.peer_id for e in events if e.kind is EventKind.PENALTY}
         last_seen: dict[int, float] = {}
         for event in events:
@@ -308,6 +309,6 @@ def test_criterion_9_ledger_invariants_randomized():
             assert event.new_value >= last_seen.get(event.peer_id, floor)
             last_seen[event.peer_id] = event.new_value
         # replay reproduces the live scores for a same-shaped ledger run
-        replay_ledger = TrustLedger.replay(events, sim.ledger.config, len(scores))
+        replay_ledger = TrustLedger.replay(batches, sim.ledger.config, len(scores))
         assert replay_ledger == scores
         assert time.perf_counter() - started < 5.0

@@ -36,7 +36,7 @@ from trustsim.rng import (
     hypergeom_cdf,
 )
 
-from helpers import play_round
+from helpers import flatten, play_round
 
 
 def small_config(**overrides):
@@ -295,14 +295,14 @@ def test_round_below_threshold_is_reputation_only():
 def test_round_selected_good_server_event_kind():
     cfg = small_config(good_founders=4, bad_founders=0, liar_founders=0,
                        catalog_size=4, n=2, p=1.0, reach=3)
-    events = []
-    sim = Simulation(cfg, event_sink=events.append)
+    batches = []
+    sim = Simulation(cfg, event_sink=batches.append)
     set_holdings(sim, {0: {0, 1}, 1: {2, 3}, 2: {2, 3}, 3: {2, 3}})
     sim.ledger.credit(2)  # make peer 2 the unique argmax
-    events.clear()
+    batches.clear()
     record = play_round(sim, 0)
     assert record.selected_id == 2
-    kinds = {e.peer_id: e.kind for e in events}
+    kinds = {e.peer_id: e.kind for e in flatten(batches)}
     assert kinds[2] is EventKind.SELECTED_TRUTHFUL_CREDIT
     assert kinds[1] is EventKind.VOLUNTEER_CREDIT
     assert kinds[3] is EventKind.VOLUNTEER_CREDIT
@@ -634,8 +634,8 @@ def check_run_cycle_against_scalar(config):
             cases["tail blocks"] += 1
             yield block
 
-    events = []
-    sim = Simulation(config, event_sink=events.append)
+    batches = []
+    sim = Simulation(config, event_sink=batches.append)
     records = []
     apply = sim.run_round
     sim.run_round = lambda *args: records.append(apply(*args)) or records[-1]
@@ -643,14 +643,14 @@ def check_run_cycle_against_scalar(config):
         patch.setattr(rng, "u64_blocks", counting_blocks)
         rows = [sim.run_cycle(cycle) for cycle in range(config.total_cycles)]
 
-    ref_events = []
-    ref = Simulation(config, event_sink=ref_events.append)
+    ref_batches = []
+    ref = Simulation(config, event_sink=ref_batches.append)
     ref_records = []
     ref_rows = [scalar_cycle(ref, cycle, ref_records, cases)
                 for cycle in range(config.total_cycles)]
     assert records == ref_records
     assert rows == ref_rows
-    assert events == ref_events
+    assert flatten(batches) == flatten(ref_batches)
     assert sim.ledger.scores == ref.ledger.scores
     assert MetricsSeries(rows).to_csv() == MetricsSeries(ref_rows).to_csv()
     assert len(records) == config.queries_per_cycle * config.total_cycles
@@ -814,9 +814,10 @@ def test_liar_pool_stays_in_id_order():
 
 
 def test_never_penalized_peers_have_monotone_trust():
-    events = []
+    batches = []
     cfg = small_config(total_cycles=10, queries_per_cycle=30, penalty=5.0)
-    run_simulation(cfg, event_sink=events.append)
+    run_simulation(cfg, event_sink=batches.append)
+    events = flatten(batches)
     penalized = {e.peer_id for e in events if e.kind is EventKind.PENALTY}
     trajectory: dict[int, float] = {}
     for event in events:
@@ -828,15 +829,15 @@ def test_never_penalized_peers_have_monotone_trust():
 
 
 def test_credit_conservation_per_round():
-    events = []
+    batches = []
     cfg = small_config(good_founders=10, bad_founders=3, liar_founders=3,
                        threshold=2.0, penalty=4.0)
-    sim = Simulation(cfg, event_sink=events.append)
+    sim = Simulation(cfg, event_sink=batches.append)
     rng = random.Random(12)
     for _ in range(2000):
-        before = len(events)
+        before = len(batches)
         record = play_round(sim, rng.randrange(sim.population.size))
-        new = events[before:]
+        new = flatten(batches[before:])
         penalties = [e for e in new if e.kind is EventKind.PENALTY]
         credits = len(new) - len(penalties)
         assert len(penalties) <= 1

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import random
@@ -7,12 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trustsim.ledger import (
+    EVENT_CSV_HEADER,
     EventCsvSink,
     EventKind,
     LedgerConfig,
     TrustLedger,
     UnknownPeerError,
 )
+
+from helpers import flatten
 
 
 def make_ledger(penalty=299.0, floor=0.0, peers=0, **kwargs):
@@ -65,6 +69,22 @@ def test_unknown_peer_errors():
         with pytest.raises(UnknownPeerError):
             ledger.credit_many([pid])
     assert ledger.scores == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("peer_ids", [[0, 1, 7], [2, 0, -1], [-5, 1, 3]])
+@pytest.mark.parametrize("with_sink", [False, True])
+def test_credit_many_with_a_bad_id_changes_nothing(peer_ids, with_sink):
+    batches = []
+    ledger = make_ledger(peers=3, event_sink=batches.append if with_sink else None)
+    ledger.credit(2)
+    batches.clear()
+    with pytest.raises(UnknownPeerError):
+        ledger.credit_many(peer_ids)
+    with pytest.raises(UnknownPeerError):
+        ledger.credit_many(iter(peer_ids))
+    ledger.credit_many([])  # no ids: no change and no batch
+    assert ledger.scores == [0.0, 0.0, 1.0]
+    assert batches == []
 
 
 def test_register_appends_the_next_id():
@@ -122,8 +142,8 @@ def test_never_penalized_peer_is_monotone():
 
 
 def test_replay_reproduces_live_scores():
-    events = []
-    ledger = make_ledger(penalty=9.0, peers=12, event_sink=events.append)
+    batches = []
+    ledger = make_ledger(penalty=9.0, peers=12, event_sink=batches.append)
     peers = list(range(12))
     rng = random.Random(99)
     for round_index in range(3000):
@@ -132,7 +152,7 @@ def test_replay_reproduces_live_scores():
             ledger.penalize(pid, round_index)
         else:
             ledger.credit(pid, round_index)
-    replayed = TrustLedger.replay(events, ledger.config, len(peers))
+    replayed = TrustLedger.replay(batches, ledger.config, len(peers))
     assert replayed == ledger.scores
 
 
@@ -162,8 +182,8 @@ LEDGER_CALLS = st.lists(
            ("credit_many", [0, 1, 1], EventKind.VOLUNTEER_CREDIT), ("penalize", 0)],
 )
 def test_replay_of_recorded_events_reproduces_live_scores(penalty, floor, founders, calls):
-    events = []
-    ledger = make_ledger(penalty=penalty, floor=floor, peers=founders, event_sink=events.append)
+    batches = []
+    ledger = make_ledger(penalty=penalty, floor=floor, peers=founders, event_sink=batches.append)
     peers = founders
     for round_index, (name, *args) in enumerate(calls):
         if name == "register":
@@ -175,7 +195,7 @@ def test_replay_of_recorded_events_reproduces_live_scores(penalty, floor, founde
             ledger.credit_many([pid % peers for pid in args[0]], round_index, args[1])
         else:
             ledger.penalize(args[0] % peers, round_index)
-    replayed = TrustLedger.replay(events, ledger.config, peers)
+    replayed = TrustLedger.replay(batches, ledger.config, peers)
     assert isinstance(replayed, list) and replayed == ledger.scores
 
 
@@ -211,3 +231,82 @@ def test_event_csv_format():
         "2,7,volunteer_credit,1.000000,8.000000",
         "3,7,penalty,-8.000000,0.000000",
     ]
+
+
+def csv_writer_trace(batches) -> str:
+    """The trace of ``batches`` as ``csv.writer`` writes it: the reference
+    for ``EventCsvSink``'s own formatting."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(EVENT_CSV_HEADER.split(","))
+    for e in flatten(batches):
+        writer.writerow(
+            [e.round_index, e.peer_id, e.kind.value, f"{e.delta:.6f}", f"{e.new_value:.6f}"]
+        )
+    return out.getvalue()
+
+
+def traced_ledger(penalty, floor, trusts):
+    """A ledger whose sink both keeps the batches and writes them through
+    an ``EventCsvSink`` to a ``StringIO``; returns (ledger, batches, buffer)."""
+    batches, buffer = [], io.StringIO()
+    csv_sink = EventCsvSink(buffer)
+
+    def sink(batch):
+        batches.append(batch)
+        csv_sink(batch)
+
+    ledger = make_ledger(penalty=penalty, floor=floor, event_sink=sink)
+    for trust in trusts:
+        ledger.register(trust=trust)
+    return ledger, batches, buffer
+
+
+# Non-integer penalties and floors, negative floors, and scores near 1e15.
+TRACE_CALLS = st.lists(
+    st.one_of(
+        st.tuples(st.just("credit"), st.integers(0, 40), CREDIT_KINDS),
+        st.tuples(st.just("credit_many"), st.lists(st.integers(0, 40), max_size=8), CREDIT_KINDS),
+        st.tuples(st.just("penalize"), st.integers(0, 40)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    penalty=st.one_of(st.floats(1e-6, 50.0), st.floats(1e12, 1e15)),
+    floor=st.floats(-1e6, 1e6),
+    offsets=st.lists(st.one_of(st.floats(0.0, 100.0), st.floats(0.0, 1e15)), min_size=1, max_size=6),
+    calls=TRACE_CALLS,
+    first_round=st.integers(0, 2**40),
+)
+@example(penalty=0.3, floor=-2.5, offsets=[1e15, 0.1], first_round=0,
+         calls=[("credit_many", [0, 1, 0], EventKind.VOLUNTEER_CREDIT), ("penalize", 1),
+                ("penalize", 1), ("credit", 1, EventKind.SELECTED_TRUTHFUL_CREDIT)])
+def test_event_csv_sink_writes_what_csv_writer_writes(penalty, floor, offsets, calls, first_round):
+    ledger, batches, buffer = traced_ledger(penalty, floor, [floor + x for x in offsets])
+    peers = len(offsets)
+    for round_index, (name, *args) in enumerate(calls, first_round):
+        if name == "credit":
+            ledger.credit(args[0] % peers, round_index, args[1])
+        elif name == "credit_many":
+            ledger.credit_many([pid % peers for pid in args[0]], round_index, args[1])
+        else:
+            ledger.penalize(args[0] % peers, round_index)
+    assert buffer.getvalue() == csv_writer_trace(batches)
+
+
+def test_event_csv_sink_holds_nothing_back():
+    ledger, batches, buffer = traced_ledger(penalty=2.5, floor=-1.0, trusts=[-1.0] * 6)
+    rng = random.Random(8)
+    for round_index in range(300):
+        roll = rng.random()
+        if roll < 0.3:
+            ledger.penalize(rng.randrange(6), round_index)
+        elif roll < 0.6:
+            ledger.credit(rng.randrange(6), round_index)
+        else:
+            ledger.credit_many(rng.sample(range(6), rng.randrange(7)), round_index)
+        assert buffer.getvalue() == csv_writer_trace(batches)
+    assert len(buffer.getvalue().splitlines()) == 1 + len(flatten(batches))
