@@ -27,9 +27,9 @@ filtering, and is what keeps desk-scale runs fast.  Cycles are a fixed
 batch of ``queries_per_cycle`` rounds; metrics are recorded per cycle.
 
 Determinism: all randomness derives from ``rng_seed`` via counter-based
-stream splitting (see :mod:`trustsim.rng`) — one stream per peer for
-holdings, one stream per round for everything in that round — so a run is
-byte-reproducible from its configuration.
+stream splitting (see :mod:`trustsim.rng`) — one stream per peer for its
+holdings (one step from a prefix derived once), one per round for all its
+draws — so a run is byte-reproducible from its configuration.
 
 Draw, then apply: a round's stream depends only on the seed and the round
 index, so ``run_cycle`` takes each round's draws from ``rng.round_draws``
@@ -46,18 +46,13 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, islice
 from typing import Iterator, NamedTuple
 
 from .game import Selection
 from .ledger import EventKind, EventSink, LedgerConfig, TrustLedger
-from .rng import (
-    RANDOM_SCALE,
-    Stream,
-    derive_seed,
-    draw_hypergeom,
-    hypergeom_cdf,
-    round_draws,
-)
+from .rng import (RANDOM_SCALE, child_seed, derive_seed, draw_hypergeom, hypergeom_cdf,
+                  round_draws, u64_blocks)
 
 DEFAULT_VOLUNTEER_TARGET = 30.0
 
@@ -241,6 +236,7 @@ class Population:
         self.liar_pool: list[int] = []
         self.holders_by_file: list[list[int]] = [[] for _ in range(config.catalog_size)]
         self.newcomer_good_ids: list[int] = []
+        self._holdings_prefix = derive_seed(config.rng_seed, "holdings")
         # Liar-count CDFs for a truthful and for a liar requester; built by
         # the first draw after the population changes.
         self._cdfs: tuple | None = None
@@ -255,11 +251,11 @@ class Population:
 
     def add_peer(self, behavior: Behavior) -> int:
         peer_id = len(self.behaviors)
-        stream = Stream.from_path(self.config.rng_seed, "holdings", peer_id)
-        catalog = self.config.catalog_size
-        files: set[int] = set()
-        while len(files) < self.holdings_size:
-            files.add(stream.randbelow(catalog))
+        size, catalog = self.holdings_size, self.config.catalog_size
+        draws = chain.from_iterable(u64_blocks(child_seed(self._holdings_prefix, peer_id), size))
+        files = {(u * catalog) >> 64 for u in islice(draws, size)}
+        while len(files) < size:  # a repeat: draw on
+            files.add((next(draws) * catalog) >> 64)
         self.behaviors.append(behavior)
         self.holdings.append(frozenset(files))
         if behavior.truthful:
@@ -306,8 +302,8 @@ class Population:
             cdf = self._cdfs[1] if requester_is_liar else self._cdfs[0]
             liar_draws = draw_hypergeom(cdf, (next(draws) >> 11) * RANDOM_SCALE)
 
-        # Partial Fisher-Yates: swap i with ks[i] = i + randbelow(liar_limit -
-        # i); the swaps are undone in reverse so the pool is left as it was.
+        # Partial Fisher-Yates: swap i with ks[i] = i + a draw below liar_limit
+        # - i; the swaps are undone in reverse so the pool is left as it was.
         ks = []
         for i, u in zip(range(liar_draws), draws):
             k = i + ((u * (liar_limit - i)) >> 64)
@@ -365,7 +361,7 @@ def select_server(
     volunteer.
 
     ``mode_draw`` and ``pick_draw`` are two raw 64-bit draws: the mode is
-    ``random() < p`` and the pick ``randbelow(len(candidates))`` of them."""
+    ``random() < p`` and the pick a draw below ``len(candidates)``."""
     if not volunteers:
         raise ValueError("empty volunteer set")
     if (mode_draw >> 11) * RANDOM_SCALE < p:
@@ -387,8 +383,7 @@ class Simulation:
 
     def __init__(self, config: SimConfig, event_sink: EventSink | None = None):
         self.population = build_population(config)
-        self.config = self.population.config
-        config = self.config
+        config = self.config = self.population.config
         self.ledger = TrustLedger(
             LedgerConfig(penalty=config.penalty, floor=config.floor), event_sink=event_sink
         )
@@ -410,7 +405,7 @@ class Simulation:
         prefix = derive_seed(config.rng_seed, "round")
         successes = failures = 0
         for draws in round_draws(prefix, self.round_index, config.queries_per_cycle):
-            requester = (next(draws) * size) >> 64  # stream.randbelow(size)
+            requester = (next(draws) * size) >> 64  # a draw below size
             record = self.run_round(requester, self.draw_round(requester, draws))
             if record.outcome is Outcome.SUCCESS:
                 successes += 1
@@ -430,7 +425,7 @@ class Simulation:
         holdings = self.population.holdings[requester_id]
         catalog = self.config.catalog_size
         for u in draws:
-            file_id = (u * catalog) >> 64  # stream.randbelow(catalog)
+            file_id = (u * catalog) >> 64  # a draw below catalog
             if file_id not in holdings:
                 break
         volunteers = self.population.volunteers(draws, requester_id, file_id)

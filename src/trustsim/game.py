@@ -133,9 +133,10 @@ def recommended_penalty(j: int, p: float, margin: float = 0.1) -> float:
     per-round change is exactly zero, which defeats the mechanism, so
     deployments must sit strictly above it.
     """
-    if margin <= 0.0:
-        raise ValueError("margin must be > 0")
-    return (1.0 + margin) * penalty_bound_descending(j, p)
+    penalty = (1.0 + margin) * penalty_bound_descending(j, p)
+    if not (margin > 0.0 and math.isfinite(penalty)):  # rejects NaN too
+        raise ValueError("margin must be > 0 and give a finite penalty")
+    return penalty
 
 
 def lying_is_dominated(params: GameParams) -> bool:

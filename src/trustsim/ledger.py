@@ -164,6 +164,20 @@ class TrustLedger:
         return scores
 
 
+class _FixedText(dict):
+    """``value -> f"{value:.6f}"``, so a score that repeats is formatted
+    once; at most 4,096 values are kept.  A zero is never kept: 0.0 and
+    -0.0 are one key but print differently."""
+
+    def __missing__(self, value: float) -> str:
+        text = f"{value:.6f}"
+        if value:
+            if len(self) >= 4096:
+                self.clear()
+            self[value] = text
+        return text
+
+
 class EventCsvSink:
     """Writes trust events to a trace CSV as they happen:
     ``round,peer_id,kind,delta,new_value``, one row per change applied.
@@ -176,14 +190,13 @@ class EventCsvSink:
 
     def __init__(self, fh):
         self._fh = fh
+        self._text = _FixedText()
         fh.write(EVENT_CSV_HEADER + "\r\n")
 
     def __call__(self, batch: EventBatch) -> None:
         round_index, kind, delta, peer_ids, new_values = batch
         head = f"{round_index},"
         middle = f",{kind.value},{delta:.6f},"
-        self._fh.write(
-            "".join(
-                [f"{head}{pid}{middle}{value:.6f}\r\n" for pid, value in zip(peer_ids, new_values)]
-            )
-        )
+        text = self._text
+        rows = [f"{head}{pid}{middle}{text[value]}\r\n" for pid, value in zip(peer_ids, new_values)]
+        self._fh.write("".join(rows))

@@ -51,7 +51,7 @@ def mc_liar_payoff(p: float, penalty: float, j: int, trials: int, seed: int = 0)
     scale = RANDOM_SCALE
     credited = 0
     for _ in range(trials):
-        # stream.random() < p or stream.randbelow(j) != 0
+        # stream.random() < p or a draw below j is not 0
         if (draw() >> 11) * scale < p or (draw() * j) >> 64 != 0:
             credited += 1
     penalized = trials - credited
@@ -73,7 +73,7 @@ def mc_escape_frequency(j: int, p: float, streak: int, trials: int, seed: int = 
     survived = 0
     for _ in range(trials):
         for _ in range(streak):
-            # stream.random() >= p and stream.randbelow(j) == 0
+            # stream.random() >= p and a draw below j is 0
             if (draw() >> 11) * scale >= p and (draw() * j) >> 64 == 0:
                 break
         else:

@@ -14,14 +14,13 @@ scheme can be reimplemented exactly:
   ``0xBF58476D1CE4E5B9``, xor-shift 27, multiply by ``0x94D049BB133111EB``,
   xor-shift 31), all modulo 2**64.
 * Stream derivation (counter-based splitting): a stream for a path
-  ``(part_0, part_1, ...)`` starts from
-  ``state = mix64(master)`` and then, for each part,
-  ``state = mix64(state XOR mix64((token(part) + GOLDEN) mod 2**64))``
-  where ``token`` is the integer itself for int parts and FNV-1a 64 of the
-  UTF-8 bytes for string parts.
+  ``(part_0, part_1, ...)`` starts from ``state = mix64(master)``; each
+  part takes one step ``state = child_seed(state, t) = mix64(state XOR
+  mix64((t + GOLDEN) mod 2**64))``, where the token ``t`` is an int part
+  itself, or FNV-1a 64 of the UTF-8 bytes of a string part.
 * ``random()`` takes the top 53 bits: ``(next_u64() >> 11) * 2**-53``.
-* ``randbelow(n)`` is the multiply-shift bounded draw
-  ``(next_u64() * n) >> 64``.  Its bias is below ``n / 2**64``, which is
+* A draw below ``n`` is the multiply-shift bounded draw ``(u * n) >> 64``
+  of one output ``u``.  Its bias is below ``n / 2**64``, which is
   negligible for every n used here (all far below 2**32).
 * Skip rule: the state after ``k`` draws is ``(state + k * GOLDEN) mod
   2**64``, and the ``k``-th output from ``state`` is ``mix64((state + k *
@@ -53,6 +52,11 @@ scheme can be reimplemented exactly:
   a stream is output ``k - BLOCK_WIDTH`` of ``Stream(state + BLOCK_WIDTH *
   GOLDEN)``, made by ``u64s`` ``TAIL_BLOCK`` at a time, each block only
   when the iterator reaches it.
+* Holdings: peer ``i`` draws from ``Stream(child_seed(prefix, i))``,
+  ``prefix = derive_seed(master, "holdings")`` derived once per population,
+  in blocks of ``h`` (the holdings size).  Its files are the draws below the
+  catalog size of the first ``h`` outputs, then of one output at a time
+  (from the tail blocks) while a repeat leaves fewer than ``h``.
 """
 
 from __future__ import annotations
@@ -132,12 +136,16 @@ def _fnv64(text: str) -> int:
     return h
 
 
+def child_seed(seed: int, token: int) -> int:
+    """One derivation step: the seed of path part ``token`` below ``seed``."""
+    return mix64(seed ^ mix64((token + _GOLDEN) & _MASK64))
+
+
 def derive_seed(master_seed: int, *path: int | str) -> int:
     """Mix a master seed with a path of ints/strings into a stream seed."""
     state = mix64(master_seed)
     for part in path:
-        token = _fnv64(part) if isinstance(part, str) else part & _MASK64
-        state = mix64(state ^ mix64((token + _GOLDEN) & _MASK64))
+        state = child_seed(state, _fnv64(part) if isinstance(part, str) else part)
     return state
 
 
@@ -193,18 +201,6 @@ class Stream:
     def random(self) -> float:
         """Uniform float in [0, 1)."""
         return (self.next_u64() >> 11) * RANDOM_SCALE
-
-    def randbelow(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
-        if n <= 0:
-            raise ValueError("randbelow requires n >= 1")
-        # mix64 inlined: the holdings build makes about 10 calls per peer,
-        # and calling mix64 here made the desk population build about 5%
-        # slower (29.2 -> 30.6 ms, Python 3.11 on a 2-core x86-64 host).
-        z = self._state = (self._state + _GOLDEN) & _MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return ((z ^ (z >> 31)) * n) >> 64
 
     def u64s(self, count: int) -> list[int]:
         """The next ``count`` outputs of ``next_u64``, computed as one block

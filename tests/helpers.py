@@ -6,6 +6,22 @@ from trustsim.ledger import EventKind
 from trustsim.rng import Stream
 
 
+def randbelow(stream, n):
+    """A uniform integer in [0, n) from the next output of ``stream``: the
+    multiply-shift draw of the ``rng`` module docstring."""
+    return (stream.next_u64() * n) >> 64
+
+
+def scalar_holdings(seed, peer_id, holdings_size, catalog_size):
+    """The files of peer ``peer_id``, one scalar draw at a time from the
+    peer's own stream: the reference for ``Population.add_peer``."""
+    stream = Stream.from_path(seed, "holdings", peer_id)
+    files = set()
+    while len(files) < holdings_size:
+        files.add(randbelow(stream, catalog_size))
+    return files
+
+
 def play_round(sim, requester):
     """Draw and apply the next round of ``sim`` for a forced requester, with
     the draws of the round's own stream from its start."""

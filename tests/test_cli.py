@@ -75,6 +75,13 @@ def test_analyze_usage_error():
     assert run_cli("analyze", "--n", "100") == 2
 
 
+@pytest.mark.parametrize("margin", ["nan", "inf", "1e308"])
+def test_analyze_rejects_a_margin_without_a_finite_penalty(capsys, margin):
+    assert run_cli("analyze", "--n", "100", "--j", "30", "--p", "0.9", "--margin", margin) == 2
+    captured = capsys.readouterr()
+    assert "margin" in captured.err and captured.out == ""
+
+
 # The full report, byte for byte, for a dominance win, a tie (n = 1: truth
 # and lying both earn 1 per round) and non-default reward and cost.
 ANALYZE_GOLDEN = [

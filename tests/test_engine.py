@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trustsim import rng
+from trustsim import engine, rng
 from trustsim.engine import (
     Behavior,
     ConfigError,
@@ -36,7 +36,7 @@ from trustsim.rng import (
     hypergeom_cdf,
 )
 
-from helpers import flatten, play_round
+from helpers import flatten, play_round, randbelow, scalar_holdings
 
 
 def small_config(**overrides):
@@ -140,6 +140,49 @@ def test_population_deterministic_in_seed():
     assert build_population(cfg).holdings == build_population(cfg).holdings
     other = build_population(small_config(rng_seed=8))
     assert other.holdings != build_population(cfg).holdings
+
+
+@st.composite
+def holdings_cases(draw):
+    """Holdings sizes from 1 to past 64 lanes, on both sides of a lane width
+    (16 and 17); a catalog from one file above the size (many repeated
+    draws, so several tail blocks) to ten times it; seeds at both ends of
+    the range; newcomers of each behavior.  A config gives a catalog of at
+    least twice the size (n >= 2), so the test sets the size itself."""
+    size = draw(st.sampled_from([1, 10, 16, 17, 65, 100]))
+    catalog = size + draw(st.one_of(st.integers(1, 3), st.integers(1, 9 * size)))
+    newcomers = tuple(
+        Injection(cycle, draw(st.integers(1, 3)), draw(st.sampled_from(Behavior)))
+        for cycle in range(draw(st.integers(0, 2)))
+    )
+    seed = draw(st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)))
+    return size, small_config(catalog_size=catalog, n=2, rng_seed=seed, newcomers=newcomers)
+
+
+@settings(max_examples=80, deadline=None)
+@given(holdings_cases())
+def test_holdings_equal_scalar_reference(case):
+    """Founders and the newcomers ``_inject`` adds hold what one scalar
+    draw at a time from each peer's own stream gives, and
+    ``holders_by_file`` indexes the truthful ones in id order."""
+    size, config = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "holdings_size", lambda catalog, n: size)
+        sim = Simulation(config)
+        sim._inject(len(config.newcomers))
+    population = sim.population
+    assert population.size == config.founder_population + sum(i.count for i in config.newcomers)
+    expected = [
+        scalar_holdings(config.rng_seed, pid, size, config.catalog_size)
+        for pid in range(population.size)
+    ]
+    assert population.holdings == [frozenset(files) for files in expected]
+    holders = [[] for _ in range(config.catalog_size)]
+    for pid, files in enumerate(expected):
+        if population.behaviors[pid].truthful:
+            for file_id in files:
+                holders[file_id].append(pid)
+    assert population.holders_by_file == holders
 
 
 def test_population_indexes_are_consistent():
@@ -499,7 +542,7 @@ def scalar_volunteers(population, stream, requester_id, file_id):
     if liar_limit > 0:
         liar_draws = draw_hypergeom(hypergeom_cdf(others, liar_limit, reach), stream.random())
     for i in range(liar_draws):
-        k = i + stream.randbelow(liar_limit - i)
+        k = i + randbelow(stream, liar_limit - i)
         pool[i], pool[k] = pool[k], pool[i]
     volunteers = pool[:liar_draws]
     slots = reach - liar_draws
@@ -565,12 +608,12 @@ def scalar_cycle(sim, cycle, records, cases):
         index = sim.round_index
         sim.round_index += 1
         stream = Stream.from_path(config.rng_seed, "round", index)
-        requester = stream.randbelow(population.size)
+        requester = randbelow(stream, population.size)
         cases["liar requesters"] += population.behaviors[requester] is Behavior.LIAR
-        file_id = stream.randbelow(config.catalog_size)
+        file_id = randbelow(stream, config.catalog_size)
         while file_id in population.holdings[requester]:
             cases["file re-draws"] += 1
-            file_id = stream.randbelow(config.catalog_size)
+            file_id = randbelow(stream, config.catalog_size)
         volunteers = scalar_volunteers(population, stream, requester, file_id)
         if not volunteers:
             records.append(RoundRecord(index, requester, file_id, (), Gate.NO_VOLUNTEERS,
@@ -584,9 +627,9 @@ def scalar_cycle(sim, cycle, records, cases):
         if stream.random() < config.p:
             best = max(scores[pid] for pid in volunteers)
             ties = [pid for pid in volunteers if scores[pid] == best]
-            selected, mode = ties[stream.randbelow(len(ties))], Selection.BY_TRUST
+            selected, mode = ties[randbelow(stream, len(ties))], Selection.BY_TRUST
         else:
-            selected, mode = volunteers[stream.randbelow(len(volunteers))], Selection.RANDOM
+            selected, mode = volunteers[randbelow(stream, len(volunteers))], Selection.RANDOM
         others = [pid for pid in volunteers if pid != selected]
         delta = 0.0
         if population.behaviors[selected] is Behavior.GOOD_SERVER:

@@ -85,8 +85,10 @@ def test_bounds_reject_pure_trust_selection():
 def test_recommended_penalty_adds_margin():
     assert recommended_penalty(30, 0.9) == pytest.approx(1.1 * 299.0)
     assert recommended_penalty(30, 0.9, margin=0.5) == pytest.approx(1.5 * 299.0)
-    with pytest.raises(ValueError):
-        recommended_penalty(30, 0.9, margin=0.0)
+    # Not above 0, or a penalty that is not finite: 1e308 overflows to inf.
+    for margin in (0.0, math.nan, math.inf, 1e308):
+        with pytest.raises(ValueError, match="margin"):
+            recommended_penalty(30, 0.9, margin=margin)
 
 
 def test_lying_is_dominated_boundary():

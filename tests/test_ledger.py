@@ -276,7 +276,7 @@ TRACE_CALLS = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(
     penalty=st.one_of(st.floats(1e-6, 50.0), st.floats(1e12, 1e15)),
-    floor=st.floats(-1e6, 1e6),
+    floor=st.one_of(st.just(-0.0), st.floats(-1e6, 1e6)),
     offsets=st.lists(st.one_of(st.floats(0.0, 100.0), st.floats(0.0, 1e15)), min_size=1, max_size=6),
     calls=TRACE_CALLS,
     first_round=st.integers(0, 2**40),
@@ -284,6 +284,11 @@ TRACE_CALLS = st.lists(
 @example(penalty=0.3, floor=-2.5, offsets=[1e15, 0.1], first_round=0,
          calls=[("credit_many", [0, 1, 0], EventKind.VOLUNTEER_CREDIT), ("penalize", 1),
                 ("penalize", 1), ("credit", 1, EventKind.SELECTED_TRUTHFUL_CREDIT)])
+# Both zeros, each after the other: a penalty clamped at the floor -0.0
+# gives -0.0, and one that lands exactly on 0.0 gives 0.0.
+@example(penalty=1.0, floor=-0.0, offsets=[0.0, 1.0], first_round=0,
+         calls=[("penalize", 0), ("penalize", 1), ("credit", 0, EventKind.VOLUNTEER_CREDIT),
+                ("penalize", 0), ("penalize", 1)])
 def test_event_csv_sink_writes_what_csv_writer_writes(penalty, floor, offsets, calls, first_round):
     ledger, batches, buffer = traced_ledger(penalty, floor, [floor + x for x in offsets])
     peers = len(offsets)

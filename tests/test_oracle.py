@@ -12,6 +12,8 @@ from trustsim.oracle import (
 )
 from trustsim.rng import Stream
 
+from helpers import randbelow
+
 
 def test_mc_result_requires_trials():
     with pytest.raises(ValueError):
@@ -28,10 +30,10 @@ def test_mc_liar_payoff_matches_closed_form():
 @pytest.mark.parametrize("seed", [0, 3, 11])
 def test_estimators_make_the_scalar_draws(seed):
     """The estimators read block draws; a trial must still see exactly the
-    draws that stream.random() and stream.randbelow() would give it."""
+    draws that stream.random() and randbelow(stream, j) would give it."""
     p, penalty, j, streak, trials = 0.7, 10.0, 5, 4, 3000
     stream = Stream.from_path(seed, "mc-liar-payoff")
-    credited = sum(stream.random() < p or stream.randbelow(j) != 0 for _ in range(trials))
+    credited = sum(stream.random() < p or randbelow(stream, j) != 0 for _ in range(trials))
     expected = (credited - penalty * (trials - credited)) / trials
     assert mc_liar_payoff(p, penalty, j, trials, seed).mean == expected
 
@@ -39,7 +41,7 @@ def test_estimators_make_the_scalar_draws(seed):
     survived = 0
     for _ in range(trials):
         for _ in range(streak):
-            if stream.random() >= p and stream.randbelow(j) == 0:
+            if stream.random() >= p and randbelow(stream, j) == 0:
                 break
         else:
             survived += 1

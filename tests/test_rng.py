@@ -12,11 +12,14 @@ from trustsim.rng import (
     BLOCK_WIDTH,
     TAIL_BLOCK,
     Stream,
+    child_seed,
     derive_seed,
     draw_hypergeom,
     hypergeom_cdf,
     round_draws,
 )
+
+from helpers import randbelow
 
 
 def test_same_path_same_sequence():
@@ -46,20 +49,25 @@ def test_random_unit_interval():
 
 
 def test_randbelow_range_and_uniformity():
+    """The multiply-shift draw below n, as the engine and the oracles take it."""
     stream = Stream.from_path(3, "bins")
     counts = [0, 0, 0]
     trials = 30_000
     for _ in range(trials):
-        counts[stream.randbelow(3)] += 1
+        counts[randbelow(stream, 3)] += 1
     sigma = math.sqrt(trials * (1 / 3) * (2 / 3))
     for count in counts:
         assert abs(count - trials / 3) < 4 * sigma
 
 
-def test_randbelow_rejects_nonpositive():
-    stream = Stream.from_path(0)
-    with pytest.raises(ValueError):
-        stream.randbelow(0)
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.lists(st.one_of(st.integers(0, 2**64 - 1), st.text(max_size=8)), max_size=3),
+    st.integers(0, 2**64 - 1),
+)
+def test_child_seed_is_one_derivation_step(master, path, index):
+    assert child_seed(derive_seed(master, *path), index) == derive_seed(master, *path, index)
 
 
 def _check_block(state: int, count: int) -> None:
