@@ -21,7 +21,7 @@ from . import game, oracle
 from .chart import write_chart
 from .engine import ConfigError, Simulation
 from .ledger import EventCsvSink
-from .runconfig import config_keys, load_run_config
+from .runconfig import config_keys, integer, load_run_config
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -53,8 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze = sub.add_parser("analyze", help="calibration report for (n, j, p)")
-    analyze.add_argument("--n", type=int, required=True)
-    analyze.add_argument("--j", type=int, required=True)
+    analyze.add_argument("--n", type=integer, required=True)
+    analyze.add_argument("--j", type=integer, required=True)
     analyze.add_argument("--p", type=_real, required=True)
     analyze.add_argument("--epsilon", type=_real, default=0.01,
                          help="tolerated liar escape probability (default 0.01)")
@@ -79,15 +79,15 @@ def _build_parser() -> argparse.ArgumentParser:
     liar = orc_sub.add_parser("liar-payoff", help="per-round liar payoff estimate")
     liar.add_argument("--p", type=_real, required=True)
     liar.add_argument("--penalty", type=_real, required=True)
-    liar.add_argument("--j", type=int, required=True)
+    liar.add_argument("--j", type=integer, required=True)
     liar.add_argument("--trials", type=_count, default=1_000_000)
     liar.add_argument("--seed", type=_seed, default=0)
     liar.add_argument("--sigmas", type=_positive, default=4.0)
     liar.set_defaults(handler=_cmd_oracle_liar)
     escape = orc_sub.add_parser("escape", help="liar escape frequency estimate")
-    escape.add_argument("--j", type=int, required=True)
+    escape.add_argument("--j", type=integer, required=True)
     escape.add_argument("--p", type=_real, required=True)
-    escape.add_argument("--streak", type=int, required=True)
+    escape.add_argument("--streak", type=integer, required=True)
     escape.add_argument("--trials", type=_count, default=100_000)
     escape.add_argument("--seed", type=_seed, default=0)
     escape.add_argument("--sigmas", type=_positive, default=4.0)

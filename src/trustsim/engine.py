@@ -459,7 +459,7 @@ class Simulation:
 
         selected, mode = select_server(volunteers, scores, config.p, mode_draw, pick_draw)
         if population.behaviors[selected] is Behavior.GOOD_SERVER:
-            ledger.credit(selected, round_index, EventKind.SELECTED_TRUTHFUL_CREDIT)
+            ledger.credit_many((selected,), round_index, EventKind.SELECTED_TRUTHFUL_CREDIT)
             outcome, delta = Outcome.SUCCESS, 0.0
         else:
             before = scores[selected]

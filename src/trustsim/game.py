@@ -43,7 +43,7 @@ class GameParams:
     n: each truthful peer holds 1/n of the catalog (n >= 1).
     j: number of volunteers answering a query (j >= 1).
     p: probability the requester selects by trust (0 <= p <= 1).
-    penalty: trust lost by a selected volunteer that fails to deliver (>= 0).
+    penalty: trust lost by a selected volunteer that fails to deliver (finite, >= 0).
     reward: requester's profit from obtaining the file.
     cost: requester's transaction cost; reward > cost > 0, otherwise
         requesting is never worthwhile.
@@ -247,8 +247,8 @@ def check_streak(streak: int) -> None:
 
 
 def check_penalty(penalty: float) -> None:
-    if not penalty >= 0.0:  # rejects NaN too
-        raise ValueError("penalty must be >= 0")
+    if not 0.0 <= penalty < math.inf:  # rejects NaN too
+        raise ValueError("penalty must be >= 0 and finite")
 
 
 def _undominated(payoffs: dict) -> list:

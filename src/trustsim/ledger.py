@@ -1,19 +1,18 @@
 """Authoritative trust accounting.
 
 Trust is a raw cumulative sum of events: volunteering earns +1, a failed
-delivery by a selected volunteer costs the configured penalty, and no
-score ever falls below the floor (rejoining under a fresh identity starts
-at the floor, so whitewashing gains nothing).  ``TrustLedger.scores`` is a
-list indexed by the dense peer id: ``register`` appends the next peer.
+delivery by a selected volunteer costs the configured penalty, and no score
+ever falls below the floor, where every peer starts (so rejoining under a
+fresh identity gains nothing).  ``register()`` appends the next peer.
 
-Each ledger call hands the optional event sink one batch,
-``(round_index, kind, delta, peer_ids, new_values)``: the changes that
-call applied, all of one kind and one applied delta, with the new score
-of each id in the order applied.  ``credit`` and ``penalize`` hand over
-batches of one (a penalty at the floor too, with delta 0); a
-``credit_many`` of no ids hands over none.  Any callable taking one batch
-is a sink: ``list.append`` keeps them, ``TrustLedger.replay`` refolds
-them, ``EventCsvSink`` writes them.
+Every +1 is a ``credit_many`` (of one id for the selected good server).
+Each ledger call hands the optional event sink one batch, ``(round_index,
+kind, delta, peer_ids, new_values)``: the changes that call applied, all of
+one kind and one applied delta, with the new score of each id in the order
+applied.  ``penalize`` hands over batches of one (a penalty at the floor
+too, with delta 0); a ``credit_many`` of no ids hands over none.  Any
+callable taking one batch is a sink: ``list.append`` keeps them,
+``TrustLedger.replay`` refolds them, ``EventCsvSink`` writes them.
 
 A ledger instance is single-writer; concurrent readers are fine between
 writes.  The simulation engine owns one ledger and serializes mutations.
@@ -73,16 +72,12 @@ class TrustLedger:
         self.scores: list[float] = []
         self._event_sink = event_sink
 
-    def register(self, *, trust: float | None = None) -> int:
-        """Add a peer at the next id and return the id; newcomers start at the floor."""
-        value = self.config.floor if trust is None else trust
-        if not math.isfinite(value):
-            raise ValueError("initial trust must be a finite number")
-        if value < self.config.floor:
-            raise ValueError("initial trust below floor")
-        self.scores.append(value)
+    def register(self) -> int:
+        """Add a peer at the next id, at the floor, and return the id."""
+        self.scores.append(self.config.floor)
         return len(self.scores) - 1
 
+    # Kept only because perfbench's tracer patches TrustLedger.credit by name.
     def credit(
         self,
         peer_id: int,
@@ -90,15 +85,8 @@ class TrustLedger:
         kind: EventKind = EventKind.VOLUNTEER_CREDIT,
     ) -> float:
         """Apply a +1 credit; returns the updated trust."""
-        if kind is EventKind.PENALTY:
-            raise ValueError("credit cannot record a PENALTY event")
-        scores = self.scores
-        if not 0 <= peer_id < len(scores):
-            raise UnknownPeerError(peer_id)
-        new_value = scores[peer_id] = scores[peer_id] + 1.0
-        if self._event_sink is not None:
-            self._event_sink((round_index, kind, 1.0, (peer_id,), (new_value,)))
-        return new_value
+        self.credit_many((peer_id,), round_index, kind)
+        return self.scores[peer_id]
 
     def credit_many(
         self,
@@ -106,8 +94,8 @@ class TrustLedger:
         round_index: int = 0,
         kind: EventKind = EventKind.VOLUNTEER_CREDIT,
     ) -> None:
-        """Bulk +1 credits (the engine's hot path); a repeated id is
-        credited once per occurrence.  All ids are checked first, so a bad
+        """+1 credits, the one credit path; a repeated id is credited
+        once per occurrence.  All ids are checked first, so a bad
         one changes no score."""
         if kind is EventKind.PENALTY:
             raise ValueError("credit cannot record a PENALTY event")

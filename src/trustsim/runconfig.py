@@ -7,15 +7,23 @@ fields, parsed by their annotated types, plus the output paths.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import MISSING, dataclass, fields
 
 from .engine import ConfigError, SimConfig, parse_injections
 
 
+def integer(text: str) -> int:
+    """An integer that fits a float, as the checks and closed forms compute in floats."""
+    if abs(value := int(text)) > sys.float_info.max:
+        raise ValueError(f"expected an integer within ±{sys.float_info.max:.1e}")
+    return value
+
+
 # One parser per SimConfig annotation (a string, as annotations are
 # postponed); a field whose annotation has none here fails at import.
 _PARSERS = {
-    "int": int, "int | None": int, "float": float, "tuple[Injection, ...]": parse_injections,
+    "int": integer, "int | None": integer, "float": float, "tuple[Injection, ...]": parse_injections,
 }
 _SIM_KEYS = {f.name: _PARSERS[f.type] for f in fields(SimConfig)}
 _PATH_KEYS = ("metrics_csv", "trace_csv")

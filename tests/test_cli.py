@@ -30,7 +30,7 @@ def write_config(tmp_path, **overrides):
     )
     values.update(overrides)
     path = tmp_path / "run.cfg"
-    path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    path.write_text("".join(f"{k} = {v}\n" for k, v in values.items() if v is not None))
     return path, values
 
 
@@ -345,6 +345,30 @@ def test_non_finite_reals_rejected_naming_the_key(key, argv, value, tmp_path, ca
         config, _ = write_config(tmp_path, **{key: value})
         argv = [*argv, str(config)]
         named = f"error: {key}: must be a finite number"
+    assert run_cli(*argv) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, argv", [
+    *((flag, ("analyze", "--n", "100", "--j", "30", "--p", "0.9")) for flag in ("--n", "--j")),
+    ("--j", ("oracle", "liar-payoff", "--p", "0.9", "--penalty", "329", "--j", "30")),
+    *(
+        (flag, ("oracle", "escape", "--j", "30", "--p", "0.9", "--streak", "5"))
+        for flag in ("--j", "--streak")
+    ),
+    *((key, ("simulate",)) for key in ("good_founders", "liar_founders", "catalog_size")),
+])
+def test_integers_beyond_a_float_rejected_naming_the_key(key, argv, tmp_path, capsys):
+    value = str(10**400)
+    if key.startswith("--"):
+        argv = [*argv, f"{key}={value}"]  # the last occurrence wins
+        named = f"argument {key}: invalid integer value"
+    else:
+        # No reach: were the value let through, the calibrated reach would
+        # overflow at once instead of building that many peers.
+        config, _ = write_config(tmp_path, reach=None, **{key: value})
+        argv = [*argv, str(config)]
+        named = f"error: {key}: expected an integer within"
     assert run_cli(*argv) == 2
     assert named in capsys.readouterr().err
 

@@ -345,10 +345,15 @@ def test_round_selected_good_server_event_kind():
     batches.clear()
     record = play_round(sim, 0)
     assert record.selected_id == 2
-    kinds = {e.peer_id: e.kind for e in flatten(batches)}
-    assert kinds[2] is EventKind.SELECTED_TRUTHFUL_CREDIT
-    assert kinds[1] is EventKind.VOLUNTEER_CREDIT
-    assert kinds[3] is EventKind.VOLUNTEER_CREDIT
+    # The server's credit is a batch of its own, then the other volunteers'
+    # credits follow in one batch, in volunteer order.
+    others = tuple(pid for pid in record.volunteer_ids if pid != 2)
+    assert sorted(others) == [1, 3]
+    assert [(r, kind, delta, tuple(ids), tuple(values))
+            for r, kind, delta, ids, values in batches] == [
+        (0, EventKind.SELECTED_TRUTHFUL_CREDIT, 1.0, (2,), (2.0,)),
+        (0, EventKind.VOLUNTEER_CREDIT, 1.0, others, (1.0, 1.0)),
+    ]
 
 
 def test_round_unknown_requester_rejected():

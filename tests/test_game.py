@@ -47,9 +47,10 @@ def test_expected_liar_payoff_values():
     assert expected_liar_payoff(1.0, 12345.0, 30) == 1.0
 
 
-@pytest.mark.parametrize("penalty", [-5.0, math.nan])
+@pytest.mark.parametrize("penalty", [-5.0, math.nan, math.inf])
 def test_negative_or_nan_penalty_rejected(penalty):
-    # A negative penalty is a reward; NaN passes a plain `penalty < 0` test.
+    # A negative penalty is a reward; NaN passes a plain `penalty < 0` test;
+    # an infinite one makes the payoffs NaN.
     with pytest.raises(ValueError, match="penalty must be >= 0"):
         liar_round_payoff(penalty, 30)
     with pytest.raises(ValueError, match="penalty must be >= 0"):

@@ -39,23 +39,21 @@ def test_config_validation():
 
 
 def test_credit_increments_by_one():
-    ledger = make_ledger(peers=1)
+    ledger = make_ledger(peers=2)
     assert ledger.credit(0) == 1.0
     for _ in range(9):
         ledger.credit(0)
     assert ledger.scores[0] == 10.0
-    ledger.register(trust=4.0)
+    ledger.credit_many([1] * 4)
     assert ledger.credit(1) == 5.0
 
 
 def test_penalize_clamps_at_floor():
-    ledger = make_ledger()
-    ledger.register(trust=5.0)
+    ledger = make_ledger(peers=3)
+    ledger.credit_many([0] * 5 + [1] * 350)
     assert ledger.penalize(0) == 0.0
-    ledger.register(trust=350.0)
     assert ledger.penalize(1) == 51.0
-    ledger.register()  # at the floor already
-    assert ledger.penalize(2) == 0.0
+    assert ledger.penalize(2) == 0.0  # at the floor already
 
 
 def test_unknown_peer_errors():
@@ -88,23 +86,9 @@ def test_credit_many_with_a_bad_id_changes_nothing(peer_ids, with_sink):
 
 
 def test_register_appends_the_next_id():
-    ledger = make_ledger()
+    ledger = make_ledger(floor=-2.5)
     assert [ledger.register() for _ in range(3)] == [0, 1, 2]
-    assert ledger.register(trust=7.0) == 3
-    assert ledger.scores == [0.0, 0.0, 0.0, 7.0]
-    with pytest.raises(TypeError):
-        ledger.register(1)  # an id, or a positional trust, is not accepted
-    with pytest.raises(ValueError):
-        ledger.register(trust=-1.0)  # below floor
-    assert ledger.scores == [0.0, 0.0, 0.0, 7.0]
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_register_rejects_non_finite_trust(value):
-    ledger = make_ledger()
-    with pytest.raises(ValueError, match="finite"):
-        ledger.register(trust=value)
-    assert ledger.scores == []
+    assert ledger.scores == [-2.5, -2.5, -2.5]  # every peer starts at the floor
 
 
 def test_credit_kind_cannot_be_penalty():
@@ -216,16 +200,14 @@ def test_credits_commute():
 
 def test_event_csv_format():
     buffer = io.StringIO()
-    ledger = make_ledger(penalty=299.0, peers=7, event_sink=EventCsvSink(buffer))
-    ledger.register(trust=5.0)
-    ledger.register()
-    ledger.credit(7, round_index=0)
+    ledger = make_ledger(penalty=299.0, peers=9, event_sink=EventCsvSink(buffer))
+    ledger.credit_many([7] * 6, round_index=0)
     ledger.credit(7, round_index=1, kind=EventKind.SELECTED_TRUTHFUL_CREDIT)
     ledger.credit_many([8, 7], round_index=2)
     ledger.penalize(7, round_index=3)
     assert buffer.getvalue().splitlines() == [
         "round,peer_id,kind,delta,new_value",
-        "0,7,volunteer_credit,1.000000,6.000000",
+        *(f"0,7,volunteer_credit,1.000000,{score}.000000" for score in range(1, 7)),
         "1,7,selected_truthful_credit,1.000000,7.000000",
         "2,8,volunteer_credit,1.000000,1.000000",
         "2,7,volunteer_credit,1.000000,8.000000",
@@ -246,9 +228,10 @@ def csv_writer_trace(batches) -> str:
     return out.getvalue()
 
 
-def traced_ledger(penalty, floor, trusts):
-    """A ledger whose sink both keeps the batches and writes them through
-    an ``EventCsvSink`` to a ``StringIO``; returns (ledger, batches, buffer)."""
+def traced_ledger(penalty, floor, peers):
+    """A ledger of ``peers`` peers whose sink both keeps the batches and
+    writes them through an ``EventCsvSink`` to a ``StringIO``; returns
+    (ledger, batches, buffer)."""
     batches, buffer = [], io.StringIO()
     csv_sink = EventCsvSink(buffer)
 
@@ -256,13 +239,11 @@ def traced_ledger(penalty, floor, trusts):
         batches.append(batch)
         csv_sink(batch)
 
-    ledger = make_ledger(penalty=penalty, floor=floor, event_sink=sink)
-    for trust in trusts:
-        ledger.register(trust=trust)
-    return ledger, batches, buffer
+    return make_ledger(penalty=penalty, floor=floor, peers=peers, event_sink=sink), batches, buffer
 
 
-# Non-integer penalties and floors, negative floors, and scores near 1e15.
+# Non-integer penalties and floors, negative floors, and scores near 1e15
+# (from a floor near 1e15).
 TRACE_CALLS = st.lists(
     st.one_of(
         st.tuples(st.just("credit"), st.integers(0, 40), CREDIT_KINDS),
@@ -276,22 +257,24 @@ TRACE_CALLS = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(
     penalty=st.one_of(st.floats(1e-6, 50.0), st.floats(1e12, 1e15)),
-    floor=st.one_of(st.just(-0.0), st.floats(-1e6, 1e6)),
-    offsets=st.lists(st.one_of(st.floats(0.0, 100.0), st.floats(0.0, 1e15)), min_size=1, max_size=6),
+    floor=st.one_of(st.just(-0.0), st.floats(-1e6, 1e6), st.floats(1e14, 1e15)),
+    peers=st.integers(1, 6),
     calls=TRACE_CALLS,
     first_round=st.integers(0, 2**40),
 )
-@example(penalty=0.3, floor=-2.5, offsets=[1e15, 0.1], first_round=0,
+@example(penalty=0.3, floor=-2.5, peers=2, first_round=0,
          calls=[("credit_many", [0, 1, 0], EventKind.VOLUNTEER_CREDIT), ("penalize", 1),
                 ("penalize", 1), ("credit", 1, EventKind.SELECTED_TRUTHFUL_CREDIT)])
+@example(penalty=0.3, floor=1e15 - 0.3, peers=2, first_round=0,
+         calls=[("credit_many", [0, 1, 0], EventKind.VOLUNTEER_CREDIT), ("penalize", 1),
+                ("penalize", 0), ("credit", 1, EventKind.SELECTED_TRUTHFUL_CREDIT)])
 # Both zeros, each after the other: a penalty clamped at the floor -0.0
 # gives -0.0, and one that lands exactly on 0.0 gives 0.0.
-@example(penalty=1.0, floor=-0.0, offsets=[0.0, 1.0], first_round=0,
-         calls=[("penalize", 0), ("penalize", 1), ("credit", 0, EventKind.VOLUNTEER_CREDIT),
-                ("penalize", 0), ("penalize", 1)])
-def test_event_csv_sink_writes_what_csv_writer_writes(penalty, floor, offsets, calls, first_round):
-    ledger, batches, buffer = traced_ledger(penalty, floor, [floor + x for x in offsets])
-    peers = len(offsets)
+@example(penalty=1.0, floor=-0.0, peers=1, first_round=0,
+         calls=[("penalize", 0), ("credit", 0, EventKind.VOLUNTEER_CREDIT),
+                ("penalize", 0), ("penalize", 0)])
+def test_event_csv_sink_writes_what_csv_writer_writes(penalty, floor, peers, calls, first_round):
+    ledger, batches, buffer = traced_ledger(penalty, floor, peers)
     for round_index, (name, *args) in enumerate(calls, first_round):
         if name == "credit":
             ledger.credit(args[0] % peers, round_index, args[1])
@@ -303,7 +286,7 @@ def test_event_csv_sink_writes_what_csv_writer_writes(penalty, floor, offsets, c
 
 
 def test_event_csv_sink_holds_nothing_back():
-    ledger, batches, buffer = traced_ledger(penalty=2.5, floor=-1.0, trusts=[-1.0] * 6)
+    ledger, batches, buffer = traced_ledger(penalty=2.5, floor=-1.0, peers=6)
     rng = random.Random(8)
     for round_index in range(300):
         roll = rng.random()
