@@ -55,6 +55,9 @@ from .rng import (RANDOM_SCALE, child_seed, derive_seed, draw_hypergeom, hyperge
                   round_draws, u64_blocks)
 
 DEFAULT_VOLUNTEER_TARGET = 30.0
+# Every draw below n has n below this (the rng module docstring): the
+# population and the catalog are kept under it.
+MAX_DRAW_RANGE = 2**32
 
 
 class ConfigError(ValueError):
@@ -137,8 +140,12 @@ class SimConfig:
                 raise ConfigError(key, "must be >= 0")
         if self.founder_population < 2:
             raise ConfigError("good_founders", "need at least 2 founders in total")
+        if self.founder_population >= MAX_DRAW_RANGE:
+            raise ConfigError("good_founders", "founders must number below 2**32")
         if self.catalog_size < 1:
             raise ConfigError("catalog_size", "must be >= 1")
+        if self.catalog_size >= MAX_DRAW_RANGE:
+            raise ConfigError("catalog_size", "must be below 2**32")
         if self.n < 1:
             raise ConfigError("n", "must be >= 1")
         if self.catalog_size < self.n:
@@ -166,6 +173,8 @@ class SimConfig:
                 raise ConfigError("newcomers", "cycle must be >= 0")
             if injection.count < 1:
                 raise ConfigError("newcomers", "count must be >= 1")
+        if self.founder_population + sum(i.count for i in self.newcomers) >= MAX_DRAW_RANGE:
+            raise ConfigError("newcomers", "founders plus newcomers must number below 2**32")
 
         queries = self.queries_per_cycle
         if queries is None:
@@ -325,8 +334,12 @@ class Population:
         available = self.size - 1 - liar_limit
         scale = RANDOM_SCALE
         holders = self.holders_by_file[file_id] if slots else ()
+        # Integer pre-filter; the float test still decides.  It accepts only if
+        # (u >> 11) * available < slots * 2**53, slots only falls, and available
+        # stays >= this denominator >= 1 (holders: non-liars, not the requester).
+        bound = -(-(slots << 53) // (available - len(holders) + 1)) << 11
         for pid, u in zip(holders, draws):
-            if (u >> 11) * scale * available < slots:  # stream.random() * available
+            if u < bound and (u >> 11) * scale * available < slots:  # random() * available
                 volunteers.append(pid)
                 slots -= 1
                 if not slots:

@@ -232,6 +232,9 @@ def check_n(n: int) -> None:
 
 
 def check_j(j: int) -> None:
+    # An int, so that the oracles' integer bound on a pick is exact.
+    if type(j) is not int:  # bool too
+        raise ValueError(f"j must be an integer, got {j!r}")
     if j < 1:
         raise ValueError("j must be >= 1")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .game import check_j, check_p, check_penalty, check_streak
-from .rng import RANDOM_SCALE, derive_seed, u64_blocks
+from .rng import derive_seed, random_bound, u64_blocks, zero_bound
 
 _MIN_TRIALS = 1000
 _MAX_ENUM_STREAK = 20
@@ -48,11 +48,11 @@ def mc_liar_payoff(p: float, penalty: float, j: int, trials: int, seed: int = 0)
     if trials < _MIN_TRIALS:
         raise ValueError(f"trials must be >= {_MIN_TRIALS}")
     draw = chain.from_iterable(u64_blocks(derive_seed(seed, "mc-liar-payoff"), _BLOCK)).__next__
-    scale = RANDOM_SCALE
+    by_trust, picked = random_bound(p), zero_bound(j)
     credited = 0
     for _ in range(trials):
-        # stream.random() < p or a draw below j is not 0
-        if (draw() >> 11) * scale < p or (draw() * j) >> 64 != 0:
+        # stream.random() < p or a draw below j is not 0, as integer bounds
+        if draw() < by_trust or draw() >= picked:
             credited += 1
     penalized = trials - credited
     mean = (credited - penalty * penalized) / trials
@@ -69,12 +69,12 @@ def mc_escape_frequency(j: int, p: float, streak: int, trials: int, seed: int = 
     if trials < _MIN_TRIALS:
         raise ValueError(f"trials must be >= {_MIN_TRIALS}")
     draw = chain.from_iterable(u64_blocks(derive_seed(seed, "mc-escape"), _BLOCK)).__next__
-    scale = RANDOM_SCALE
+    by_trust, picked = random_bound(p), zero_bound(j)
     survived = 0
     for _ in range(trials):
         for _ in range(streak):
-            # stream.random() >= p and a draw below j is 0
-            if (draw() >> 11) * scale >= p and (draw() * j) >> 64 == 0:
+            # stream.random() >= p and a draw below j is 0, as integer bounds
+            if draw() >= by_trust and draw() < picked:
                 break
         else:
             survived += 1

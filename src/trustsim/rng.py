@@ -21,7 +21,13 @@ scheme can be reimplemented exactly:
 * ``random()`` takes the top 53 bits: ``(next_u64() >> 11) * 2**-53``.
 * A draw below ``n`` is the multiply-shift bounded draw ``(u * n) >> 64``
   of one output ``u``.  Its bias is below ``n / 2**64``, which is
-  negligible for every n used here (all far below 2**32).
+  negligible for every n used here: ``SimConfig.validate`` keeps the
+  catalog and the population below 2**32.
+* Integer bounds: ``random() < p`` holds exactly when ``u <
+  random_bound(p)``, ``ceil(p * 2**53) << 11``, for any p in [0, 1]
+  (scaling by 2**53 is exact, and ``u >> 11 < C`` exactly when ``u < C <<
+  11``); and a draw below ``n`` is 0 exactly when ``u < zero_bound(n)``,
+  ``ceil(2**64 / n)`` (Lemire's threshold form of the multiply-shift draw).
 * Skip rule: the state after ``k`` draws is ``(state + k * GOLDEN) mod
   2**64``, and the ``k``-th output from ``state`` is ``mix64((state + k *
   GOLDEN) mod 2**64)``.
@@ -61,6 +67,7 @@ scheme can be reimplemented exactly:
 
 from __future__ import annotations
 
+import math
 import struct
 from bisect import bisect_left
 from collections.abc import Iterator
@@ -92,6 +99,18 @@ def mix64(value: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def random_bound(p: float) -> int:
+    """The bound ``b`` with ``random() < p`` exactly when the output ``u``
+    it is made from is below ``b``; p within [0, 1]."""
+    return math.ceil(p * 2**53) << 11
+
+
+def zero_bound(n: int) -> int:
+    """The bound ``b`` with a draw below the int ``n`` being 0 exactly when
+    its output ``u`` is below ``b``."""
+    return -(-(1 << 64) // n)
 
 
 def _mix_lanes(z: int, mask: int) -> int:

@@ -6,10 +6,33 @@ from trustsim.ledger import EventKind
 from trustsim.rng import Stream
 
 
+def uniform(u):
+    """The float in [0, 1) that ``random()`` makes from the output ``u``."""
+    return (u >> 11) * 2.0**-53
+
+
+def below(u, n):
+    """The multiply-shift draw below ``n`` that the output ``u`` gives."""
+    return (u * n) >> 64
+
+
 def randbelow(stream, n):
     """A uniform integer in [0, n) from the next output of ``stream``: the
     multiply-shift draw of the ``rng`` module docstring."""
-    return (stream.next_u64() * n) >> 64
+    return below(stream.next_u64(), n)
+
+
+class ListStream:
+    """A stream whose outputs are the given draws, in order."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def next_u64(self):
+        return next(self._draws)
+
+    def random(self):
+        return uniform(self.next_u64())
 
 
 def scalar_holdings(seed, peer_id, holdings_size, catalog_size):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from trustsim import cli, engine
 from trustsim.chart import SVG_NS
 from trustsim.cli import _build_parser, _with_seed_suffix, main
 from trustsim.engine import METRICS_CSV_HEADER
@@ -371,6 +372,24 @@ def test_integers_beyond_a_float_rejected_naming_the_key(key, argv, tmp_path, ca
         named = f"error: {key}: expected an integer within"
     assert run_cli(*argv) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, overrides", [
+    ("newcomers", dict(newcomers=f"1:{10**400}:good")),  # parsed with plain int
+    ("newcomers", dict(newcomers=f"1:{2**32 - 12}:liar")),
+    ("good_founders", dict(good_founders=2**32 - 4)),
+    ("catalog_size", dict(catalog_size=2**32)),
+])
+def test_draw_ranges_of_2_32_rejected_before_the_run(key, overrides, tmp_path, capsys,
+                                                     monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "Simulation", never)
+    monkeypatch.setattr(engine, "build_population", never)
+    config, _ = write_config(tmp_path, **overrides)
+    assert run_cli("simulate", str(config)) == 2
+    assert f"error: {key}: " in capsys.readouterr().err
 
 
 # --- oracle ---

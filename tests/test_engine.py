@@ -36,7 +36,7 @@ from trustsim.rng import (
     hypergeom_cdf,
 )
 
-from helpers import flatten, play_round, randbelow, scalar_holdings
+from helpers import ListStream, flatten, play_round, randbelow, scalar_holdings, uniform
 
 
 def small_config(**overrides):
@@ -89,11 +89,25 @@ def test_config_validation_names_offending_key():
         (dict(newcomers=(Injection(1, 0, Behavior.GOOD_SERVER),)), "newcomers"),
         (dict(rng_seed=-1), "rng_seed"),  # would alias seed 2**64 - 1
         (dict(rng_seed=2**64), "rng_seed"),  # would alias seed 0
+        # Every draw below n needs n < 2**32 (the rng module docstring).
+        (dict(catalog_size=2**32), "catalog_size"),
+        (dict(good_founders=2**32 - 4), "good_founders"),  # 2**32 founders
+        (dict(newcomers=(Injection(1, 2**32 - 12, Behavior.GOOD_SERVER),)), "newcomers"),
+        (dict(newcomers=(Injection(1, 2**31, Behavior.GOOD_SERVER),
+                         Injection(2, 2**31, Behavior.LIAR))), "newcomers"),
     ]
     for overrides, key in cases:
         with pytest.raises(ConfigError) as err:
             small_config(**overrides).validate()
         assert err.value.key == key, overrides
+
+
+def test_config_just_below_the_draw_range_validates():
+    # Validation builds no peer, so these are cheap to check; a run of them
+    # would still exceed memory.
+    small_config(catalog_size=2**32 - 1).validate()
+    small_config(good_founders=2**32 - 5).validate()
+    small_config(newcomers=(Injection(1, 2**32 - 13, Behavior.LIAR),)).validate()
 
 
 def test_config_defaults_resolve():
@@ -594,6 +608,35 @@ def test_volunteer_draw_equals_scalar_reference_in_edge_cases():
                     holders = population.holders_by_file[file_id]
                     early_stops += bool(holders) and len(got) == reach and holders[-1] != got[-1]
     assert early_stops > 0
+
+
+def test_holder_scan_pre_filter_at_its_bound():
+    """Crafted draws for the last holder of a scan that rejected every
+    earlier one, where the integer pre-filter's bound is tight: the largest
+    output the float test accepts, the smallest it rejects, and the bound
+    itself and one below.  No liars, so every draw goes to the holders."""
+    top = 2**64 - 1  # rejected wherever slots < available
+    # (slots, holders, available at the last holder): slots == available,
+    # a last denominator of 1, and last denominators of 3, 7 and 1,000.
+    for slots, count, last in ((3, 1, 3), (1, 4, 1), (1, 3, 3), (2, 3, 7), (5, 2, 1000)):
+        size = last + count  # the requester plus every peer available at the start
+        population = build_population(small_config(
+            good_founders=size, bad_founders=0, liar_founders=0, reach=slots))
+        file_id = min(set(range(24)) - population.holdings[0])  # the requester is 0
+        population.holders_by_file[file_id] = list(range(1, count + 1))
+        bound = -(-(slots << 53) // last) << 11  # the pre-filter's bound here
+        x = bound >> 11
+        while uniform(x << 11) * last >= slots:
+            x -= 1
+        largest = (x << 11) | 0x7FF  # the largest output the float test accepts
+        for u in {largest, largest + 1, bound - 1, bound} - {2**64}:
+            draws = [top] * (count - 1) + [u, 11, 12]
+            stream = ListStream(draws)
+            expected = scalar_volunteers(population, stream, 0, file_id)
+            remaining = iter(draws)
+            assert population.volunteers(remaining, 0, file_id) == expected
+            assert next(remaining) == stream.next_u64()  # the same draws were used
+            assert expected == ([count] if u <= largest else []), (slots, last, u)
 
 
 # --- draw, then apply: run_cycle against one scalar stream per round ---

@@ -216,6 +216,20 @@ def test_recommend_threshold_rejects_bad_inputs():
 # --- validation ---
 
 
+@pytest.mark.parametrize("j", [2.5, 30.0, True, "30", None])
+def test_non_integer_j_rejected(j):
+    # A fractional volunteer count used to give a payoff (-12.2 for 2.5).
+    for call in (
+        lambda: liar_round_payoff(329, j),
+        lambda: expected_liar_payoff(0.9, 329, j),
+        lambda: escape_probability(j, 0.9, 5),
+        lambda: penalty_bound_descending(j, 0.9),
+        lambda: make_params(j=j),
+    ):
+        with pytest.raises(ValueError, match="j must be an integer"):
+            call()
+
+
 def test_game_params_validation():
     with pytest.raises(ValueError):
         make_params(reward=1.0, cost=1.0)  # reward must exceed cost

@@ -1,7 +1,9 @@
 import math
+import random
 
 import pytest
 
+from trustsim import oracle
 from trustsim.game import escape_probability, expected_liar_payoff
 from trustsim.oracle import (
     McResult,
@@ -10,9 +12,9 @@ from trustsim.oracle import (
     mc_liar_payoff,
     within_sigmas,
 )
-from trustsim.rng import Stream
+from trustsim.rng import Stream, random_bound, zero_bound
 
-from helpers import randbelow
+from helpers import ListStream, randbelow
 
 
 def test_mc_result_requires_trials():
@@ -27,17 +29,14 @@ def test_mc_liar_payoff_matches_closed_form():
     assert within_sigmas(0.0, result)
 
 
-@pytest.mark.parametrize("seed", [0, 3, 11])
-def test_estimators_make_the_scalar_draws(seed):
-    """The estimators read block draws; a trial must still see exactly the
-    draws that stream.random() and randbelow(stream, j) would give it."""
-    p, penalty, j, streak, trials = 0.7, 10.0, 5, 4, 3000
-    stream = Stream.from_path(seed, "mc-liar-payoff")
+def scalar_liar_payoff(stream, p, penalty, j, trials):
+    """The mean of ``mc_liar_payoff`` with stream.random() and randbelow."""
     credited = sum(stream.random() < p or randbelow(stream, j) != 0 for _ in range(trials))
-    expected = (credited - penalty * (trials - credited)) / trials
-    assert mc_liar_payoff(p, penalty, j, trials, seed).mean == expected
+    return (credited - penalty * (trials - credited)) / trials
 
-    stream = Stream.from_path(seed, "mc-escape")
+
+def scalar_escape_frequency(stream, j, p, streak, trials):
+    """The mean of ``mc_escape_frequency`` with stream.random() and randbelow."""
     survived = 0
     for _ in range(trials):
         for _ in range(streak):
@@ -45,7 +44,37 @@ def test_estimators_make_the_scalar_draws(seed):
                 break
         else:
             survived += 1
-    assert mc_escape_frequency(j, p, streak, trials, seed).mean == survived / trials
+    return survived / trials
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_estimators_make_the_scalar_draws(seed):
+    """The estimators compare block draws with integer bounds; a trial must
+    still see exactly the draws, and make the decisions, that stream.random()
+    and randbelow(stream, j) would give it, at the ends of p and j too."""
+    penalty, streak, trials = 10.0, 4, 3000
+    for p, j in ((0.7, 5), (0.0, 5), (1.0, 5), (0.7, 1)):
+        stream = Stream.from_path(seed, "mc-liar-payoff")
+        expected = scalar_liar_payoff(stream, p, penalty, j, trials)
+        assert mc_liar_payoff(p, penalty, j, trials, seed).mean == expected
+        stream = Stream.from_path(seed, "mc-escape")
+        expected = scalar_escape_frequency(stream, j, p, streak, trials)
+        assert mc_escape_frequency(j, p, streak, trials, seed).mean == expected
+
+
+def test_estimators_decide_at_the_bounds_as_the_scalar_draws(monkeypatch):
+    """Draws one below and at each integer bound, which a random stream
+    almost never gives: each must be decided as the float and multiply-shift
+    forms decide it."""
+    penalty, streak, trials = 10.0, 4, 1000
+    for p, j in ((0.7, 5), (0.9, 30), (2**-53, 3)):
+        edges = [b + d for b in (random_bound(p), zero_bound(j)) for d in (-1, 0)]
+        draws = random.Random(j).choices(edges, k=2 * streak * trials)
+        monkeypatch.setattr(oracle, "u64_blocks", lambda state, size: iter([draws]))
+        expected = scalar_liar_payoff(ListStream(draws), p, penalty, j, trials)
+        assert mc_liar_payoff(p, penalty, j, trials).mean == expected
+        expected = scalar_escape_frequency(ListStream(draws), j, p, streak, trials)
+        assert mc_escape_frequency(j, p, streak, trials).mean == expected
 
 
 def test_mc_liar_payoff_pure_trust_is_exact():
@@ -110,6 +139,11 @@ def test_mc_validates_inputs():
     for penalty in (-5.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="penalty must be >= 0"):
             mc_liar_payoff(0.9, penalty, 3, trials=2000)
+    for j in (30.0, 2.5, True):  # 30.0 used to end in a TypeError from >>
+        with pytest.raises(ValueError, match="j must be an integer"):
+            mc_liar_payoff(0.9, 10.0, j, trials=2000)
+        with pytest.raises(ValueError, match="j must be an integer"):
+            mc_escape_frequency(j, 0.9, 5, trials=2000)
     with pytest.raises(ValueError):
         mc_escape_frequency(3, 0.5, -1, trials=2000)
     with pytest.raises(ValueError):

@@ -16,10 +16,12 @@ from trustsim.rng import (
     derive_seed,
     draw_hypergeom,
     hypergeom_cdf,
+    random_bound,
     round_draws,
+    zero_bound,
 )
 
-from helpers import randbelow
+from helpers import below, randbelow, uniform
 
 
 def test_same_path_same_sequence():
@@ -58,6 +60,30 @@ def test_randbelow_range_and_uniformity():
     sigma = math.sqrt(trials * (1 / 3) * (2 / 3))
     for count in counts:
         assert abs(count - trials / 3) < 4 * sigma
+
+
+def _at_and_below(bound, extra):
+    """The outputs ``bound - 1`` and ``bound``, where they are outputs, and ``extra``."""
+    return [u for u in (bound - 1, bound, extra) if 0 <= u < 2**64]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 2**-53, 1 - 2**-53, 0.9]), st.floats(0, 1)),
+    st.integers(0, 2**64 - 1),
+)
+def test_random_bound_is_the_float_test(p, extra):
+    bound = random_bound(p)
+    for u in _at_and_below(bound, extra):
+        assert (u < bound) == (uniform(u) < p), u
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2**40), st.integers(0, 2**64 - 1))
+def test_zero_bound_is_the_multiply_shift_test(n, extra):
+    bound = zero_bound(n)
+    for u in _at_and_below(bound, extra):
+        assert (u < bound) == (below(u, n) == 0), u
 
 
 @settings(max_examples=200, deadline=None)
