@@ -327,24 +327,23 @@ class Population:
 
         # Truthful holders: each is in the sample's remaining slots with the
         # exact conditional probability given how many slots are left among
-        # the non-liar peers.  One draw per holder scanned: zip takes a draw
-        # only for a holder it reaches, and no holder is scanned once the
-        # slots run out.
+        # the non-liar peers.  One draw per holder scanned, by position: zip
+        # takes a draw only for a holder it reaches, only an accepted holder's
+        # id is read, and no holder is scanned once the slots run out.
         slots = self.config.reach - liar_draws
         available = self.size - 1 - liar_limit
         scale = RANDOM_SCALE
         holders = self.holders_by_file[file_id] if slots else ()
         # Integer pre-filter; the float test still decides.  It accepts only if
-        # (u >> 11) * available < slots * 2**53, slots only falls, and available
-        # stays >= this denominator >= 1 (holders: non-liars, not the requester).
+        # (u >> 11) * (available - j) < slots * 2**53, slots only falls, and
+        # available - j >= this denominator >= 1 (holders: non-liars, not the requester).
         bound = -(-(slots << 53) // (available - len(holders) + 1)) << 11
-        for pid, u in zip(holders, draws):
-            if u < bound and (u >> 11) * scale * available < slots:  # random() * available
-                volunteers.append(pid)
+        for j, u in zip(range(len(holders)), draws):
+            if u < bound and (u >> 11) * scale * (available - j) < slots:  # random() * available
+                volunteers.append(holders[j])
                 slots -= 1
                 if not slots:
                     break
-            available -= 1
         return volunteers
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from collections.abc import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from trustsim.engine import (
     select_server,
 )
 from trustsim.game import Selection
-from trustsim.ledger import EventKind
+from trustsim.ledger import EventKind, TrustLedger
 from trustsim.rng import (
     BLOCK_GROUP,
     BLOCK_WIDTH,
@@ -611,32 +612,105 @@ def test_volunteer_draw_equals_scalar_reference_in_edge_cases():
 
 
 def test_holder_scan_pre_filter_at_its_bound():
-    """Crafted draws for the last holder of a scan that rejected every
-    earlier one, where the integer pre-filter's bound is tight: the largest
-    output the float test accepts, the smallest it rejects, and the bound
-    itself and one below.  No liars, so every draw goes to the holders."""
+    """Crafted draws for a holder of a scan that rejected every earlier one:
+    the largest output the float test accepts there, the smallest it
+    rejects, and the integer pre-filter's bound and one below, which is
+    tight at the last holder.  Holders after a middle one take the next
+    draws; a scan that ends at the crafted holder leaves the next two draws,
+    the mode and pick draws, untouched.  No liars, so every draw goes to the
+    holders."""
     top = 2**64 - 1  # rejected wherever slots < available
-    # (slots, holders, available at the last holder): slots == available,
-    # a last denominator of 1, and last denominators of 3, 7 and 1,000.
-    for slots, count, last in ((3, 1, 3), (1, 4, 1), (1, 3, 3), (2, 3, 7), (5, 2, 1000)):
-        size = last + count  # the requester plus every peer available at the start
+    mode, pick = 11, 12
+    # (slots, holders, position of the crafted draw, available there).  The
+    # last holder: slots == available, and denominators of 1, 3, 7 and 1,000.
+    # A middle holder: with one slot, an accepted holder ends the scan early.
+    cases = ((3, 1, 0, 3), (1, 4, 3, 1), (1, 3, 2, 3), (2, 3, 2, 7), (5, 2, 1, 1000),
+             (1, 5, 2, 7), (1, 6, 4, 36), (2, 5, 1, 7), (3, 7, 3, 17))
+    for slots, count, at, last in cases:
+        available = last + at  # at the start of the scan
         population = build_population(small_config(
-            good_founders=size, bad_founders=0, liar_founders=0, reach=slots))
+            good_founders=available + 1, bad_founders=0, liar_founders=0, reach=slots))
         file_id = min(set(range(24)) - population.holdings[0])  # the requester is 0
-        population.holders_by_file[file_id] = list(range(1, count + 1))
-        bound = -(-(slots << 53) // last) << 11  # the pre-filter's bound here
-        x = bound >> 11
+        holders = list(range(1, count + 1))
+        population.holders_by_file[file_id] = holders
+        bound = -(-(slots << 53) // (available - count + 1)) << 11  # the pre-filter's bound
+        x = -(-(slots << 53) // last)
         while uniform(x << 11) * last >= slots:
             x -= 1
         largest = (x << 11) | 0x7FF  # the largest output the float test accepts
         for u in {largest, largest + 1, bound - 1, bound} - {2**64}:
-            draws = [top] * (count - 1) + [u, 11, 12]
+            draws = [top] * at + [u, mode, pick] + [top] * count
             stream = ListStream(draws)
             expected = scalar_volunteers(population, stream, 0, file_id)
             remaining = iter(draws)
             assert population.volunteers(remaining, 0, file_id) == expected
-            assert next(remaining) == stream.next_u64()  # the same draws were used
-            assert expected == ([count] if u <= largest else []), (slots, last, u)
+            after = [next(remaining), next(remaining)]
+            assert after == [stream.next_u64(), stream.next_u64()]  # the same draws were used
+            accepted = u <= largest
+            first = at if accepted else at + 1  # rejected: the next holder takes the mode draw
+            assert expected[:1] == holders[first:first + 1], (slots, at, u)
+            if at == count - 1 or (accepted and slots == 1):
+                assert after == [mode, pick]  # the scan ended at the crafted holder
+
+
+def test_holder_scan_reads_only_accepted_ids():
+    """The holder scan walks positions: it never iterates a file's holder
+    list and reads the id of an accepted holder only."""
+
+    class Positions(Sequence):
+        def __init__(self, ids):
+            self.ids, self.read = ids, []
+
+        def __len__(self):
+            return len(self.ids)
+
+        def __getitem__(self, index):
+            self.read.append(index)
+            return self.ids[index]
+
+        def __iter__(self):
+            raise AssertionError("the holder scan iterated the holder ids")
+
+    population = build_population(small_config(
+        good_founders=30, bad_founders=6, liar_founders=4, catalog_size=12, n=3, reach=8))
+    accepted = rejected = 0
+    for requester in range(0, population.size, 3):
+        for file_id in set(range(12)) - population.holdings[requester]:
+            holders = population.holders_by_file[file_id]
+            for seed in range(4):
+                expected = scalar_volunteers(
+                    population, Stream.from_path(seed, "guard", requester), requester, file_id)
+                wrapped = Positions(holders)
+                population.holders_by_file[file_id] = wrapped
+                try:
+                    got = draw_volunteers(population, Stream.from_path(seed, "guard", requester),
+                                          requester, file_id)
+                finally:
+                    population.holders_by_file[file_id] = holders
+                assert got == expected
+                truthful = [pid for pid in got if population.behaviors[pid] is not Behavior.LIAR]
+                assert [holders[j] for j in wrapped.read] == truthful
+                accepted += len(truthful)
+                rejected += bool(holders) and len(truthful) < len(holders)
+    assert accepted > 0 and rejected > 0
+
+
+def test_engine_never_calls_trust_ledger_credit(monkeypatch):
+    """Every +1 of a run goes through ``TrustLedger.credit_many``: a run that
+    reaches all three gates and a successful selection never calls
+    ``credit``."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine called TrustLedger.credit")
+
+    monkeypatch.setattr(TrustLedger, "credit", refuse)
+    sim = Simulation(small_config(threshold=2.0, total_cycles=10, queries_per_cycle=30))
+    records = []
+    apply = sim.run_round
+    sim.run_round = lambda *args: records.append(apply(*args)) or records[-1]
+    sim.run()
+    assert {record.gate for record in records} == set(Gate)
+    assert any(record.outcome is Outcome.SUCCESS for record in records)
 
 
 # --- draw, then apply: run_cycle against one scalar stream per round ---
