@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -58,6 +59,9 @@ DEFAULT_VOLUNTEER_TARGET = 30.0
 # Every draw below n has n below this (the rng module docstring): the
 # population and the catalog are kept under it.
 MAX_DRAW_RANGE = 2**32
+# The smallest unsigned array typecode that holds every file id (below
+# MAX_DRAW_RANGE): 4 bytes on common platforms.
+HOLDINGS_TYPECODE = next(code for code in "IL" if array(code).itemsize >= 4)
 
 
 class ConfigError(ValueError):
@@ -235,13 +239,17 @@ class RoundRecord(NamedTuple):
 class Population:
     """Peers (dense ids, see above), their holdings, the per-file
     truthful-holder index, and the volunteer draw.  ``config`` must be
-    validated; :func:`build_population` does that and adds the founders."""
+    validated; :func:`build_population` does that and adds the founders.
+
+    A peer's holdings are an ``array`` of its ``holdings_size`` file ids in
+    strictly increasing order (typecode ``HOLDINGS_TYPECODE``), so a
+    membership test is a bisection and a peer keeps no per-file objects."""
 
     def __init__(self, config: SimConfig):
         self.config = config
         self.holdings_size = holdings_size(config.catalog_size, config.n)
         self.behaviors: list[Behavior] = []
-        self.holdings: list[frozenset[int]] = []
+        self.holdings: list[array] = []  # sorted file ids per peer
         self.liar_pool: list[int] = []
         self.holders_by_file: list[list[int]] = [[] for _ in range(config.catalog_size)]
         self.newcomer_good_ids: list[int] = []
@@ -266,7 +274,7 @@ class Population:
         while len(files) < size:  # a repeat: draw on
             files.add((next(draws) * catalog) >> 64)
         self.behaviors.append(behavior)
-        self.holdings.append(frozenset(files))
+        self.holdings.append(array(HOLDINGS_TYPECODE, sorted(files)))
         if behavior.truthful:
             for file_id in files:
                 self.holders_by_file[file_id].append(peer_id)
@@ -435,10 +443,12 @@ class Simulation:
         if not 0 <= requester_id < self.population.size:
             raise IndexError(f"requester {requester_id} is not a peer id")
         holdings = self.population.holdings[requester_id]
+        held = len(holdings)
         catalog = self.config.catalog_size
         for u in draws:
             file_id = (u * catalog) >> 64  # a draw below catalog
-            if file_id not in holdings:
+            i = bisect_left(holdings, file_id)  # holdings are sorted
+            if i == held or holdings[i] != file_id:  # not held
                 break
         volunteers = self.population.volunteers(draws, requester_id, file_id)
         return file_id, volunteers, next(draws), next(draws)

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import random
+import tracemalloc
+from array import array
 from collections.abc import Sequence
 
 import pytest
@@ -60,10 +62,11 @@ def small_config(**overrides):
 
 
 def set_holdings(sim: Simulation, assignment: dict[int, set[int]]) -> None:
-    """White-box: pin exact holdings and rebuild the holder index."""
+    """White-box: pin exact holdings, as the sorted array ``add_peer``
+    builds, and rebuild the holder index."""
     population = sim.population
     for pid, files in assignment.items():
-        population.holdings[pid] = frozenset(files)
+        population.holdings[pid] = array(engine.HOLDINGS_TYPECODE, sorted(files))
     population.holders_by_file = [[] for _ in range(population.config.catalog_size)]
     for pid in range(population.size):
         if population.behaviors[pid].truthful:
@@ -178,7 +181,8 @@ def holdings_cases(draw):
 @given(holdings_cases())
 def test_holdings_equal_scalar_reference(case):
     """Founders and the newcomers ``_inject`` adds hold what one scalar
-    draw at a time from each peer's own stream gives, and
+    draw at a time from each peer's own stream gives, as ``holdings_size``
+    strictly increasing 4-byte file ids (``draw_round`` bisects them), and
     ``holders_by_file`` indexes the truthful ones in id order."""
     size, config = case
     with pytest.MonkeyPatch.context() as patch:
@@ -191,7 +195,10 @@ def test_holdings_equal_scalar_reference(case):
         scalar_holdings(config.rng_seed, pid, size, config.catalog_size)
         for pid in range(population.size)
     ]
-    assert population.holdings == [frozenset(files) for files in expected]
+    assert [list(files) for files in population.holdings] == [sorted(f) for f in expected]
+    for files in population.holdings:
+        assert files.itemsize == 4 and len(files) == size
+        assert all(a < b for a, b in zip(files, files[1:]))
     holders = [[] for _ in range(config.catalog_size)]
     for pid, files in enumerate(expected):
         if population.behaviors[pid].truthful:
@@ -214,6 +221,23 @@ def test_population_indexes_are_consistent():
         if population.behaviors[pid].truthful:
             for file_id in population.holdings[pid]:
                 assert pid in population.holders_by_file[file_id]
+
+
+def test_build_population_bytes_per_peer():
+    """Memory guard: building the desk founders traces at most 400 B per
+    peer (about 275: the sorted holdings array, 8 B per truthful holding in
+    ``holders_by_file``, the id lists); per-peer hash sets of int objects
+    took about 1,090."""
+    config = small_config(good_founders=1400, bad_founders=300, liar_founders=300,
+                          catalog_size=1000, n=100, reach=189, rng_seed=1)
+    tracemalloc.start()
+    try:
+        population = build_population(config)
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert population.size == 2000
+    assert traced / population.size <= 400
 
 
 # --- server selection ---
@@ -382,6 +406,47 @@ def test_round_unknown_requester_rejected():
             with pytest.raises(IndexError):
                 play_round(sim, requester)
         assert sim.round_index == round_index and sim.ledger.scores == scores
+
+
+def test_file_redraw_at_the_holdings_edges():
+    """Crafted file draws for requesters holding the catalog's first and
+    last files, the first file and a middle one, and two adjacent files: a
+    draw landing on a held file (at either end of the outputs that give it)
+    is redrawn, and a draw above the largest held file is taken.  The file
+    and the draws used match a scalar loop over a set of the holdings."""
+    catalog = 8
+    sim = Simulation(small_config(good_founders=3, bad_founders=0, liar_founders=1,
+                                  catalog_size=catalog, n=4, reach=2))
+    set_holdings(sim, {0: {0, catalog - 1}, 1: {0, 3}, 2: {4, 5}})
+
+    def lowest(file_id):  # the smallest output that gives file_id
+        return -(-(file_id << 64) // catalog)
+
+    def highest(file_id):  # the largest output that gives file_id
+        return lowest(file_id + 1) - 1
+
+    cases = (
+        (0, [lowest(0), highest(0), lowest(7), highest(7), highest(0), lowest(1)], 1),
+        (0, [highest(7), lowest(0), highest(6)], 6),
+        (1, [lowest(0), highest(3), lowest(3), lowest(4)], 4),  # above the largest
+        (1, [highest(3), highest(7)], 7),  # the last file, above the largest
+        (1, [highest(0), highest(2)], 2),  # below a held file
+        (2, [lowest(5), highest(4), highest(5), lowest(3)], 3),
+        (2, [highest(5), lowest(6)], 6),
+    )
+    for requester, file_draws, chosen in cases:
+        draws = file_draws + list(range(101, 121))  # then volunteer, mode and pick draws
+        stream = ListStream(draws)
+        held = set(sim.population.holdings[requester])
+        file_id = randbelow(stream, catalog)
+        while file_id in held:
+            file_id = randbelow(stream, catalog)
+        assert file_id == chosen
+        expected = (file_id, scalar_volunteers(sim.population, stream, requester, file_id),
+                    stream.next_u64(), stream.next_u64())
+        remaining = iter(draws)
+        assert sim.draw_round(requester, remaining) == expected, (requester, file_draws)
+        assert next(remaining) == stream.next_u64()  # the same draws were used
 
 
 # --- volunteer sampling ---
@@ -597,7 +662,7 @@ def test_volunteer_draw_equals_scalar_reference_in_edge_cases():
                            catalog_size=4, n=2, reach=reach)
         population = build_population(cfg)
         for requester in range(population.size):
-            for file_id in set(range(4)) - population.holdings[requester]:
+            for file_id in set(range(4)).difference(population.holdings[requester]):
                 for seed in range(5):
                     block = Stream.from_path(seed, "edge", requester)
                     scalar = Stream.from_path(seed, "edge", requester)
@@ -630,7 +695,7 @@ def test_holder_scan_pre_filter_at_its_bound():
         available = last + at  # at the start of the scan
         population = build_population(small_config(
             good_founders=available + 1, bad_founders=0, liar_founders=0, reach=slots))
-        file_id = min(set(range(24)) - population.holdings[0])  # the requester is 0
+        file_id = min(set(range(24)).difference(population.holdings[0]))  # the requester is 0
         holders = list(range(1, count + 1))
         population.holders_by_file[file_id] = holders
         bound = -(-(slots << 53) // (available - count + 1)) << 11  # the pre-filter's bound
@@ -675,7 +740,7 @@ def test_holder_scan_reads_only_accepted_ids():
         good_founders=30, bad_founders=6, liar_founders=4, catalog_size=12, n=3, reach=8))
     accepted = rejected = 0
     for requester in range(0, population.size, 3):
-        for file_id in set(range(12)) - population.holdings[requester]:
+        for file_id in set(range(12)).difference(population.holdings[requester]):
             holders = population.holders_by_file[file_id]
             for seed in range(4):
                 expected = scalar_volunteers(
