@@ -47,20 +47,20 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .game import Selection
 from .ledger import EventKind, EventSink, LedgerConfig, TrustLedger
 from .rng import (RANDOM_SCALE, child_seed, derive_seed, draw_hypergeom, hypergeom_cdf,
-                  round_draws, u64_blocks)
+                  round_draws, u64_stream)
 
 DEFAULT_VOLUNTEER_TARGET = 30.0
 # Every draw below n has n below this (the rng module docstring): the
 # population and the catalog are kept under it.
 MAX_DRAW_RANGE = 2**32
-# The smallest unsigned array typecode that holds every file id (below
-# MAX_DRAW_RANGE): 4 bytes on common platforms.
+# The smallest unsigned array typecode that holds every file id and every
+# peer id (both below MAX_DRAW_RANGE): 4 bytes on common platforms.
 HOLDINGS_TYPECODE = next(code for code in "IL" if array(code).itemsize >= 4)
 
 
@@ -251,7 +251,8 @@ class Population:
         self.behaviors: list[Behavior] = []
         self.holdings: list[array] = []  # sorted file ids per peer
         self.liar_pool: list[int] = []
-        self.holders_by_file: list[list[int]] = [[] for _ in range(config.catalog_size)]
+        self.holders_by_file: list[array] = [  # truthful peer ids per file, in id order
+            array(HOLDINGS_TYPECODE) for _ in range(config.catalog_size)]
         self.newcomer_good_ids: list[int] = []
         self._holdings_prefix = derive_seed(config.rng_seed, "holdings")
         # Liar-count CDFs for a truthful and for a liar requester; built by
@@ -269,7 +270,7 @@ class Population:
     def add_peer(self, behavior: Behavior) -> int:
         peer_id = len(self.behaviors)
         size, catalog = self.holdings_size, self.config.catalog_size
-        draws = chain.from_iterable(u64_blocks(child_seed(self._holdings_prefix, peer_id), size))
+        draws = u64_stream(child_seed(self._holdings_prefix, peer_id), size)
         files = {(u * catalog) >> 64 for u in islice(draws, size)}
         while len(files) < size:  # a repeat: draw on
             files.add((next(draws) * catalog) >> 64)

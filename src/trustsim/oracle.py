@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 from .game import check_j, check_p, check_penalty, check_streak
-from .rng import derive_seed, random_bound, u64_blocks, zero_bound
+from .rng import derive_seed, random_bound, u64_stream, zero_bound
 
 _MIN_TRIALS = 1000
 _MAX_ENUM_STREAK = 20
@@ -47,7 +46,7 @@ def mc_liar_payoff(p: float, penalty: float, j: int, trials: int, seed: int = 0)
     check_penalty(penalty)
     if trials < _MIN_TRIALS:
         raise ValueError(f"trials must be >= {_MIN_TRIALS}")
-    draw = chain.from_iterable(u64_blocks(derive_seed(seed, "mc-liar-payoff"), _BLOCK)).__next__
+    draw = u64_stream(derive_seed(seed, "mc-liar-payoff"), _BLOCK).__next__
     by_trust, picked = random_bound(p), zero_bound(j)
     credited = 0
     for _ in range(trials):
@@ -68,7 +67,7 @@ def mc_escape_frequency(j: int, p: float, streak: int, trials: int, seed: int = 
     check_streak(streak)
     if trials < _MIN_TRIALS:
         raise ValueError(f"trials must be >= {_MIN_TRIALS}")
-    draw = chain.from_iterable(u64_blocks(derive_seed(seed, "mc-escape"), _BLOCK)).__next__
+    draw = u64_stream(derive_seed(seed, "mc-escape"), _BLOCK).__next__
     by_trust, picked = random_bound(p), zero_bound(j)
     survived = 0
     for _ in range(trials):

@@ -31,20 +31,20 @@ scheme can be reimplemented exactly:
 * Skip rule: the state after ``k`` draws is ``(state + k * GOLDEN) mod
   2**64``, and the ``k``-th output from ``state`` is ``mix64((state + k *
   GOLDEN) mod 2**64)``.
-* Block draws: ``u64s(count)`` returns the next ``count`` outputs, all
-  computed in one Python int of ``width >= count`` lanes of 128 bits.
-  Lane ``i`` (bits ``128*i`` and up) starts as ``state + (i + 1) *
-  GOLDEN``: the state times ``ONES`` (1 in every lane) plus ``STEPS``
-  (``(i + 1) * GOLDEN mod 2**64`` in lane ``i``).  The finalizer then runs
-  once over the whole int.  Every lane is cut to its low 64 bits (``&
-  MASK``, ones in the low half of every lane) before each xor-shift and
-  before and after each multiply, so each product is below 2**128 and no
-  carry or shifted-in bit reaches the low half of another lane.  The last
-  xor-shift needs no cut, because only low halves are read.  The low 64
-  bits of lane ``i`` are output ``i``; they are read back from
-  ``int.to_bytes`` as little-endian words, every second word.  Widths
-  come from the fixed list ``_WIDTHS``; a longer block than the widest is
-  made in pieces of that many lanes.
+* Block draws: ``u64_stream(state, block)`` iterates over the outputs of
+  ``Stream(state)``, each block of ``block`` outputs computed in one
+  Python int of exactly ``block`` lanes of 128 bits (at most
+  ``_MAX_LANES``; a wider block is made that many lanes at a time).  Lane
+  ``i`` (bits ``128*i`` and up) starts as ``state + (i + 1) * GOLDEN``:
+  the state times ``ONES`` (1 in every lane) plus ``STEPS`` (``(i + 1) *
+  GOLDEN mod 2**64`` in lane ``i``).  The finalizer then runs once over
+  the whole int.  Every lane is cut to its low 64 bits (``& MASK``, ones in
+  the low half of every lane) before each xor-shift and before and after
+  each multiply, so each product is below 2**128 and no carry or
+  shifted-in bit reaches the low half of another lane.  The last xor-shift
+  needs no cut, because only low halves are read.  The low 64 bits of lane
+  ``i`` are output ``i``, read back from ``int.to_bytes`` as little-endian
+  words, every second word.
 * Round draws: ``round_draws(prefix, start, count)`` gives one iterator
   over the outputs of each path ``(*path, start + i)``, ``i < count``,
   ``BLOCK_GROUP`` paths per pass.  For ``prefix = derive_seed(master,
@@ -56,13 +56,13 @@ scheme can be reimplemented exactly:
   repeated (no multiply), plus the lane steps ``(k + 1) * GOLDEN`` in lane
   ``k`` of each state's lanes.  Tail rule: output ``k >= BLOCK_WIDTH`` of
   a stream is output ``k - BLOCK_WIDTH`` of ``Stream(state + BLOCK_WIDTH *
-  GOLDEN)``, made by ``u64s`` ``TAIL_BLOCK`` at a time, each block only
-  when the iterator reaches it.
-* Holdings: peer ``i`` draws from ``Stream(child_seed(prefix, i))``,
-  ``prefix = derive_seed(master, "holdings")`` derived once per population,
-  in blocks of ``h`` (the holdings size).  Its files are the draws below the
+  GOLDEN)``, read from ``u64_stream`` in blocks of ``TAIL_BLOCK``, each
+  computed only when the iterator reaches it.
+* Holdings: peer ``i`` draws from ``u64_stream(child_seed(prefix, i),
+  h)``, ``prefix = derive_seed(master, "holdings")`` derived once per
+  population, ``h`` the holdings size.  Its files are the draws below the
   catalog size of the first ``h`` outputs, then of one output at a time
-  (from the tail blocks) while a repeat leaves fewer than ``h``.
+  (from the blocks that follow) while a repeat leaves fewer than ``h``.
 """
 
 from __future__ import annotations
@@ -71,14 +71,13 @@ import math
 import struct
 from bisect import bisect_left
 from collections.abc import Iterator
+from functools import cache
 from itertools import chain
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-# Block widths in lanes; a block computes less than 1.5 times the lanes it
-# returns.
-_WIDTHS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512)
-_MAX_LANES = _WIDTHS[-1]
+# The widest lane int u64_stream computes (an 8 KB int).
+_MAX_LANES = 512
 # round_draws: outputs per state and states per pass.  A desk round uses
 # about 50 draws, and 64 cover 98.5% of desk rounds.  A pass of 16 states
 # (a 1,024-lane int of 16 KB) is as fast per round as one of 32, and keeps
@@ -126,22 +125,17 @@ def _packed(low_words: list[int]) -> int:
     return int.from_bytes(b"".join(w.to_bytes(16, "little") for w in low_words), "little")
 
 
-def _block_table() -> list[tuple[struct.Struct, int, int, int]]:
-    """``table[count]``: the lane reader, ``ONES``, ``STEPS`` and ``MASK`` of
-    the narrowest width in ``_WIDTHS`` that holds ``count`` lanes."""
-    table: list[tuple[struct.Struct, int, int, int]] = []
-    for width in _WIDTHS:
-        constants = (
-            struct.Struct("<" + "Q8x" * width),
-            _packed([1] * width),
-            _packed([(k * _GOLDEN) & _MASK64 for k in range(1, width + 1)]),
-            _packed([_MASK64] * width),
-        )
-        table += [constants] * (width + 1 - len(table))
-    return table
+@cache
+def _lanes(width: int) -> tuple[struct.Struct, int, int, int]:
+    """The lane reader, ``ONES``, ``STEPS`` and ``MASK`` of ``width`` lanes."""
+    return (
+        struct.Struct("<" + "Q8x" * width),
+        _packed([1] * width),
+        _packed([(k * _GOLDEN) & _MASK64 for k in range(1, width + 1)]),
+        _packed([_MASK64] * width),
+    )
 
 
-_BLOCKS = _block_table()
 # round_draws: i in lane i, and a whole group's lane steps and lane mask.
 _INDEX = _packed(list(range(BLOCK_GROUP)))
 _GROUP_STEPS = _packed([(k * _GOLDEN) & _MASK64 for k in range(1, BLOCK_WIDTH + 1)] * BLOCK_GROUP)
@@ -176,33 +170,45 @@ def round_draws(prefix: int, start: int, count: int) -> Iterator[Iterator[int]]:
     past them."""
     if count < 0:
         raise ValueError("round_draws requires count >= 0")
-    reader = _BLOCKS[BLOCK_WIDTH][0]
+    reader = _lanes(BLOCK_WIDTH)[0]
     for first in range(start, start + count, BLOCK_GROUP):
         lanes = min(start + count - first, BLOCK_GROUP)
-        state_reader, ones, _, mask = _BLOCKS[lanes]
+        state_reader, ones, _, mask = _lanes(lanes)
         z = ((first + _GOLDEN) * ones + (_INDEX & mask)) & mask  # lane i: first + i + GOLDEN
         z = _mix_lanes((_mix_lanes(z, mask) & mask) ^ (prefix * ones), mask)
-        states = state_reader.unpack(z.to_bytes(state_reader.size, "little"))[:lanes]
+        states = state_reader.unpack(z.to_bytes(state_reader.size, "little"))
         cut = 8 * reader.size * (BLOCK_GROUP - lanes)  # the lanes of absent states
         packed = b"".join([state.to_bytes(16, "little") * BLOCK_WIDTH for state in states])
         mask = _GROUP_MASK >> cut
         z = _mix_lanes((int.from_bytes(packed, "little") + (_GROUP_STEPS >> cut)) & mask, mask)
         buf = z.to_bytes(reader.size * lanes, "little")
         for g, state in enumerate(states):
-            tail = u64_blocks(state + BLOCK_WIDTH * _GOLDEN, TAIL_BLOCK)
-            yield chain(reader.unpack_from(buf, g * reader.size), chain.from_iterable(tail))
+            tail = u64_stream(state + BLOCK_WIDTH * _GOLDEN, TAIL_BLOCK)
+            yield chain(reader.unpack_from(buf, g * reader.size), tail)
 
 
-def u64_blocks(state: int, size: int) -> Iterator[list[int]]:
-    """The outputs of ``Stream(state)`` in blocks of ``size``, each block
-    made by ``u64s`` when it is reached."""
-    stream = Stream(state)
+def u64_stream(state: int, block: int) -> Iterator[int]:
+    """The outputs of ``Stream(state)``, computed ``block`` at a time (at
+    most ``_MAX_LANES``), each block when the iterator reaches it (see the
+    module docstring)."""
+    if block < 1:
+        raise ValueError("u64_stream requires block >= 1")
+    return chain.from_iterable(_blocks(state & _MASK64, min(block, _MAX_LANES)))
+
+
+def _blocks(state: int, width: int) -> Iterator[tuple[int, ...]]:
+    """The outputs of ``Stream(state)`` in blocks of ``width`` lanes."""
+    reader, ones, steps, mask = _lanes(width)
+    skip = width * _GOLDEN
     while True:
-        yield stream.u64s(size)
+        z = _mix_lanes((state * ones + steps) & mask, mask)
+        yield reader.unpack(z.to_bytes(reader.size, "little"))
+        state = (state + skip) & _MASK64
 
 
 class Stream:
-    """One SplitMix64 output sequence."""
+    """One SplitMix64 output sequence, one output at a time: the scalar
+    reference, kept for the tests and for perfbench's tracer."""
 
     __slots__ = ("_state",)
 
@@ -220,22 +226,6 @@ class Stream:
     def random(self) -> float:
         """Uniform float in [0, 1)."""
         return (self.next_u64() >> 11) * RANDOM_SCALE
-
-    def u64s(self, count: int) -> list[int]:
-        """The next ``count`` outputs of ``next_u64``, computed as one block
-        (see the module docstring)."""
-        if count < 0:
-            raise ValueError("u64s requires count >= 0")
-        state = self._state
-        out: list[int] = []
-        for start in range(0, count, _MAX_LANES):
-            lanes = min(count - start, _MAX_LANES)
-            reader, ones, steps, mask = _BLOCKS[lanes]
-            z = _mix_lanes((state * ones + steps) & mask, mask)
-            out += reader.unpack(z.to_bytes(reader.size, "little"))[:lanes]
-            state = (state + lanes * _GOLDEN) & _MASK64
-        self._state = state
-        return out
 
 
 def hypergeom_cdf(total: int, tagged: int, draws: int) -> tuple[int, list[float]]:

@@ -16,6 +16,11 @@ def below(u, n):
     return (u * n) >> 64
 
 
+def u64s(stream, count):
+    """The next ``count`` outputs of ``stream``, one scalar draw at a time."""
+    return [stream.next_u64() for _ in range(count)]
+
+
 def randbelow(stream, n):
     """A uniform integer in [0, n) from the next output of ``stream``: the
     multiply-shift draw of the ``rng`` module docstring."""

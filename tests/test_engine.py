@@ -33,13 +33,14 @@ from trustsim.ledger import EventKind, TrustLedger
 from trustsim.rng import (
     BLOCK_GROUP,
     BLOCK_WIDTH,
+    TAIL_BLOCK,
     Stream,
     _mix_lanes,
     draw_hypergeom,
     hypergeom_cdf,
 )
 
-from helpers import ListStream, flatten, play_round, randbelow, scalar_holdings, uniform
+from helpers import ListStream, flatten, play_round, randbelow, scalar_holdings, u64s, uniform
 
 
 def small_config(**overrides):
@@ -67,7 +68,8 @@ def set_holdings(sim: Simulation, assignment: dict[int, set[int]]) -> None:
     population = sim.population
     for pid, files in assignment.items():
         population.holdings[pid] = array(engine.HOLDINGS_TYPECODE, sorted(files))
-    population.holders_by_file = [[] for _ in range(population.config.catalog_size)]
+    population.holders_by_file = [
+        array(engine.HOLDINGS_TYPECODE) for _ in range(population.config.catalog_size)]
     for pid in range(population.size):
         if population.behaviors[pid].truthful:
             for file_id in population.holdings[pid]:
@@ -204,7 +206,7 @@ def test_holdings_equal_scalar_reference(case):
         if population.behaviors[pid].truthful:
             for file_id in files:
                 holders[file_id].append(pid)
-    assert population.holders_by_file == holders
+    assert [list(ids) for ids in population.holders_by_file] == holders
 
 
 def test_population_indexes_are_consistent():
@@ -225,7 +227,7 @@ def test_population_indexes_are_consistent():
 
 def test_build_population_bytes_per_peer():
     """Memory guard: building the desk founders traces at most 400 B per
-    peer (about 275: the sorted holdings array, 8 B per truthful holding in
+    peer (about 230: the sorted holdings array, 4 B per truthful holding in
     ``holders_by_file``, the id lists); per-peer hash sets of int objects
     took about 1,090."""
     config = small_config(good_founders=1400, bad_founders=300, liar_founders=300,
@@ -238,6 +240,7 @@ def test_build_population_bytes_per_peer():
         tracemalloc.stop()
     assert population.size == 2000
     assert traced / population.size <= 400
+    assert all(ids.itemsize == 4 for ids in population.holders_by_file)
 
 
 # --- server selection ---
@@ -246,7 +249,7 @@ def test_build_population_bytes_per_peer():
 def test_select_server_by_trust_takes_argmax():
     scores = [0.0, 5.0, 2.0, 9.0]
     for seed in range(20):
-        pid, mode = select_server([1, 2, 3], scores, 1.0, *Stream.from_path(seed).u64s(2))
+        pid, mode = select_server([1, 2, 3], scores, 1.0, *u64s(Stream.from_path(seed), 2))
         assert (pid, mode) == (3, Selection.BY_TRUST)
 
 
@@ -254,8 +257,8 @@ def test_select_server_tie_break_uniform_over_seeds():
     scores = [0.0, 7.0, 7.0]
     picks = []
     for seed in range(2000):
-        pid, _ = select_server([1, 2], scores, 1.0, *Stream.from_path(seed, "tie").u64s(2))
-        repeat, _ = select_server([1, 2], scores, 1.0, *Stream.from_path(seed, "tie").u64s(2))
+        pid, _ = select_server([1, 2], scores, 1.0, *u64s(Stream.from_path(seed, "tie"), 2))
+        repeat, _ = select_server([1, 2], scores, 1.0, *u64s(Stream.from_path(seed, "tie"), 2))
         assert pid == repeat  # deterministic per seed
         picks.append(pid)
     ones = picks.count(1)
@@ -269,7 +272,7 @@ def test_select_server_random_is_uniform():
     counts = {1: 0, 2: 0, 3: 0}
     trials = 30_000
     for _ in range(trials):
-        pid, mode = select_server([1, 2, 3], scores, 0.0, *stream.u64s(2))
+        pid, mode = select_server([1, 2, 3], scores, 0.0, *u64s(stream, 2))
         assert mode is Selection.RANDOM
         counts[pid] += 1
     sigma = math.sqrt(trials * (1 / 3) * (2 / 3))
@@ -286,7 +289,7 @@ def test_select_server_invariant_under_increasing_transform():
     raw = [0.0, 1.0, 3.0, 3.0, 0.5]
     transformed = [math.exp(value) for value in raw]
     for seed in range(200):
-        draws = Stream.from_path(seed, "mono").u64s(2)
+        draws = u64s(Stream.from_path(seed, "mono"), 2)
         a, _ = select_server([1, 2, 3, 4], raw, 1.0, *draws)
         b, _ = select_server([1, 2, 3, 4], transformed, 1.0, *draws)
         assert a == b
@@ -857,11 +860,12 @@ def check_run_cycle_against_scalar(config):
     the cases seen, including the tail blocks that rounds of ``run_cycle``
     drew past their first ``BLOCK_WIDTH`` draws."""
     cases = {"file re-draws": 0, "liar requesters": 0, "tail blocks": 0}
-    u64_blocks = rng.u64_blocks
+    blocks = rng._blocks
 
-    def counting_blocks(*args):
-        for block in u64_blocks(*args):
-            cases["tail blocks"] += 1
+    def counting_blocks(state, width):
+        # Newcomers' holdings draw here too, in blocks of the holdings size.
+        for block in blocks(state, width):
+            cases["tail blocks"] += width == TAIL_BLOCK
             yield block
 
     batches = []
@@ -870,7 +874,7 @@ def check_run_cycle_against_scalar(config):
     apply = sim.run_round
     sim.run_round = lambda *args: records.append(apply(*args)) or records[-1]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rng, "u64_blocks", counting_blocks)
+        patch.setattr(rng, "_blocks", counting_blocks)
         rows = [sim.run_cycle(cycle) for cycle in range(config.total_cycles)]
 
     ref_batches = []

@@ -70,7 +70,7 @@ def test_estimators_decide_at_the_bounds_as_the_scalar_draws(monkeypatch):
     for p, j in ((0.7, 5), (0.9, 30), (2**-53, 3)):
         edges = [b + d for b in (random_bound(p), zero_bound(j)) for d in (-1, 0)]
         draws = random.Random(j).choices(edges, k=2 * streak * trials)
-        monkeypatch.setattr(oracle, "u64_blocks", lambda state, size: iter([draws]))
+        monkeypatch.setattr(oracle, "u64_stream", lambda state, block: iter(draws))
         expected = scalar_liar_payoff(ListStream(draws), p, penalty, j, trials)
         assert mc_liar_payoff(p, penalty, j, trials).mean == expected
         expected = scalar_escape_frequency(ListStream(draws), j, p, streak, trials)

@@ -6,22 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trustsim.engine import holdings_size
 from trustsim.rng import (
-    _WIDTHS,
+    _MAX_LANES,
     BLOCK_GROUP,
     BLOCK_WIDTH,
     TAIL_BLOCK,
     Stream,
+    _lanes,
     child_seed,
     derive_seed,
     draw_hypergeom,
     hypergeom_cdf,
     random_bound,
     round_draws,
+    u64_stream,
     zero_bound,
 )
 
-from helpers import below, randbelow, uniform
+from helpers import below, randbelow, u64s, uniform
 
 
 def test_same_path_same_sequence():
@@ -96,34 +99,43 @@ def test_child_seed_is_one_derivation_step(master, path, index):
     assert child_seed(derive_seed(master, *path), index) == derive_seed(master, *path, index)
 
 
-def _check_block(state: int, count: int) -> None:
-    """u64s against the scalar generator, its specification."""
-    block, scalar = Stream(state), Stream(state)
-    assert block.u64s(count) == [scalar.next_u64() for _ in range(count)]
-    assert block._state == scalar._state
+def _check_block(state: int, block: int) -> None:
+    """u64_stream against the scalar generator, its specification, read
+    across three blocks and into a fourth, so the state carries over."""
+    count = 3 * block + 5
+    assert list(islice(u64_stream(state, block), count)) == u64s(Stream(state), count)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2**64 - 1), st.integers(0, 600))
-def test_block_draws_equal_scalar_draws(state, count):
-    _check_block(state, count)
+@given(st.integers(0, 2**64 - 1), st.integers(1, 600))
+def test_block_draws_equal_scalar_draws(state, block):
+    _check_block(state, block)
 
 
 def test_block_draws_cover_every_lane_width():
-    # Each width exactly filled and one lane short, the lane states that wrap
-    # past 2**64 from the top, and blocks made in more than one piece.
-    widest = _WIDTHS[-1]
-    counts = {0} | set(_WIDTHS) | {w - 1 for w in _WIDTHS} | {
-        widest + 1, 2 * widest, 2 * widest + 7}
-    for state in (0, 2**64 - 1, 0x9E3779B97F4A7C15 * 3 % 2**64):
-        for count in sorted(counts):
-            _check_block(state, count)
+    # The widths a run takes (the desk holdings size, BLOCK_WIDTH,
+    # TAIL_BLOCK, the oracles' 256), one lane either side of the widest
+    # int, and blocks made in more than one piece; states whose lanes wrap
+    # past 2**64, and one given above it, taken modulo 2**64.
+    blocks = {1, 2, holdings_size(1000, 100), 63, BLOCK_WIDTH, TAIL_BLOCK, 256,
+              _MAX_LANES - 1, _MAX_LANES, _MAX_LANES + 1, 2 * _MAX_LANES, 2 * _MAX_LANES + 7}
+    golden = 0x9E3779B97F4A7C15
+    for state in (0, 2**64 - 1, -3 * golden % 2**64, 2**128 + 5):
+        for block in sorted(blocks):
+            _check_block(state, block)
+    # Each constant fits exactly `width` lanes (to_bytes raises otherwise).
+    for width in (1, 10, _MAX_LANES):
+        reader, ones, steps, mask = _lanes(width)
+        lanes = [reader.unpack(x.to_bytes(reader.size, "little")) for x in (ones, steps, mask)]
+        assert lanes == [(1,) * width, tuple(k * golden % 2**64 for k in range(1, width + 1)),
+                         (2**64 - 1,) * width]
 
 
 def test_block_draws_reject_negative_counts():
-    stream = Stream(1)
-    with pytest.raises(ValueError):
-        stream.u64s(-1)
+    # A block of 0 would make no draws, and chain.from_iterable would spin.
+    for block in (0, -1):
+        with pytest.raises(ValueError):
+            u64_stream(1, block)
     with pytest.raises(ValueError):
         next(round_draws(0, 0, -1))
 
@@ -160,7 +172,8 @@ def test_derived_states_equal_derive_seed(seed, start, count):
 @given(*ROUND_PATHS)
 def test_first_draws_equal_block_draws_per_state(seed, start, count):
     for draws, stream in _round_streams(seed, start, count):
-        assert list(islice(draws, BLOCK_WIDTH)) == stream.u64s(BLOCK_WIDTH)
+        first = u64_stream(stream._state, BLOCK_WIDTH)
+        assert list(islice(draws, BLOCK_WIDTH)) == list(islice(first, BLOCK_WIDTH))
 
 
 @settings(max_examples=200, deadline=None)
@@ -169,7 +182,7 @@ def test_extended_draws_continue_the_stream(seed, start, read):
     # Past the first BLOCK_WIDTH outputs the iterator makes tail blocks of
     # TAIL_BLOCK as it is read; the reads run into a second one.
     for draws, stream in _round_streams(seed, start, 2):
-        assert list(islice(draws, read)) == stream.u64s(read)
+        assert list(islice(draws, read)) == u64s(stream, read)
         assert next(draws) == stream.next_u64()
 
 
