@@ -32,11 +32,11 @@ holdings (one step from a prefix derived once), one per round for all its
 draws — so a run is byte-reproducible from its configuration.
 
 Draw, then apply: a round's stream depends only on the seed and the round
-index, so ``run_cycle`` takes each round's draws from ``rng.round_draws``
-(lane passes shared by many rounds) as one iterator, draws the round with
-``draw_round``, which reads no trust, and then applies it with
-``run_round``.  The draws are consumed in stream order: requester, file
-(redrawn while the requester holds it), volunteers, selection.
+index, so each round of ``run_cycle`` is two steps.  ``draw_round`` draws
+the whole round, reading no trust, from one iterator over the round's
+stream (``rng.round_draws``, whose lane passes many rounds share), in
+stream order: requester, file (redrawn while the requester holds it),
+volunteers, selection.  ``run_round`` then applies what was drawn.
 """
 
 from __future__ import annotations
@@ -136,9 +136,10 @@ class SimConfig:
     def founder_population(self) -> int:
         return self.good_founders + self.bad_founders + self.liar_founders
 
-    def validate(self) -> "SimConfig":
-        """Check invariants and resolve defaulted fields; returns the
-        fully concrete config this run will use."""
+    def __post_init__(self) -> None:
+        """Check invariants and resolve the defaulted fields, so every
+        ``SimConfig`` is the fully concrete config a run uses; raises
+        ``ConfigError`` naming the offending key."""
         for key in ("good_founders", "bad_founders", "liar_founders"):
             if getattr(self, key) < 0:
                 raise ConfigError(key, "must be >= 0")
@@ -197,7 +198,8 @@ class SimConfig:
             raise ConfigError(
                 "reach", "must be <= population - 1 (a query cannot reach more peers)"
             )
-        return dataclasses.replace(self, queries_per_cycle=queries, reach=reach)
+        object.__setattr__(self, "queries_per_cycle", queries)
+        object.__setattr__(self, "reach", reach)
 
 
 def holdings_size(catalog_size: int, n: int) -> int:
@@ -208,6 +210,8 @@ def calibrated_reach(good: int, bad: int, liars: int, n: int) -> int:
     """Reach giving ~``DEFAULT_VOLUNTEER_TARGET`` expected volunteers per query:
     every sampled liar volunteers, a sampled truthful peer does so with
     probability 1/n."""
+    if n < 1:
+        raise ConfigError("n", "must be >= 1")
     population = good + bad + liars
     if population < 2:
         raise ConfigError("reach", "population too small to calibrate reach")
@@ -238,8 +242,8 @@ class RoundRecord(NamedTuple):
 
 class Population:
     """Peers (dense ids, see above), their holdings, the per-file
-    truthful-holder index, and the volunteer draw.  ``config`` must be
-    validated; :func:`build_population` does that and adds the founders.
+    truthful-holder index, and the volunteer draw; :func:`build_population`
+    adds the founders.
 
     A peer's holdings are an ``array`` of its ``holdings_size`` file ids in
     strictly increasing order (typecode ``HOLDINGS_TYPECODE``), so a
@@ -359,7 +363,7 @@ class Population:
 def build_population(config: SimConfig) -> Population:
     """Founders with uniformly random holdings, in the order good, bad,
     liar; deterministic in ``config.rng_seed``."""
-    population = Population(config.validate())
+    population = Population(config)
     for behavior, count in (
         (Behavior.GOOD_SERVER, config.good_founders),
         (Behavior.BAD_SERVER, config.bad_founders),
@@ -403,8 +407,8 @@ class Simulation:
     """One run: owns the population, the ledger, and the round counter."""
 
     def __init__(self, config: SimConfig, event_sink: EventSink | None = None):
+        self.config = config
         self.population = build_population(config)
-        config = self.config = self.population.config
         self.ledger = TrustLedger(
             LedgerConfig(penalty=config.penalty, floor=config.floor), event_sink=event_sink
         )
@@ -422,28 +426,23 @@ class Simulation:
         at a time (see the module docstring)."""
         self._inject(cycle)
         config = self.config
-        size = self.population.size
         prefix = derive_seed(config.rng_seed, "round")
         successes = failures = 0
         for draws in round_draws(prefix, self.round_index, config.queries_per_cycle):
-            requester = (next(draws) * size) >> 64  # a draw below size
-            record = self.run_round(requester, self.draw_round(requester, draws))
+            record = self.run_round(self.draw_round(draws))
             if record.outcome is Outcome.SUCCESS:
                 successes += 1
             elif record.outcome is Outcome.FAILURE:
                 failures += 1
         return self._metrics_row(cycle, successes, failures)
 
-    def draw_round(
-        self, requester_id: int, draws: Iterator[int]
-    ) -> tuple[int, list[int], int, int]:
-        """The file, the volunteers and the two selection draws of a round for
-        ``requester_id``, taken in order from ``draws``, the round's stream
-        outputs after the requester draw; ``run_round`` applies them.
-        Raises IndexError unless ``0 <= requester_id < population.size``."""
-        if not 0 <= requester_id < self.population.size:
-            raise IndexError(f"requester {requester_id} is not a peer id")
-        holdings = self.population.holdings[requester_id]
+    def draw_round(self, draws: Iterator[int]) -> tuple[int, int, list[int], int, int]:
+        """The requester, the file, the volunteers and the two selection
+        draws of a round, taken in order from ``draws``, the round's stream
+        outputs; reads no trust.  ``run_round`` applies them."""
+        population = self.population
+        requester_id = (next(draws) * population.size) >> 64  # a draw below size
+        holdings = population.holdings[requester_id]
         held = len(holdings)
         catalog = self.config.catalog_size
         for u in draws:
@@ -451,14 +450,11 @@ class Simulation:
             i = bisect_left(holdings, file_id)  # holdings are sorted
             if i == held or holdings[i] != file_id:  # not held
                 break
-        volunteers = self.population.volunteers(draws, requester_id, file_id)
-        return file_id, volunteers, next(draws), next(draws)
+        volunteers = population.volunteers(draws, requester_id, file_id)
+        return requester_id, file_id, volunteers, next(draws), next(draws)
 
-    def run_round(
-        self, requester_id: int, drawn: tuple[int, list[int], int, int]
-    ) -> RoundRecord:
-        """Apply the next round for ``requester_id``: ``drawn`` is what
-        ``draw_round`` drew for it."""
+    def run_round(self, drawn: tuple[int, int, list[int], int, int]) -> RoundRecord:
+        """Apply the next round: ``drawn`` is what ``draw_round`` drew for it."""
         config = self.config
         population = self.population
         ledger = self.ledger
@@ -466,7 +462,7 @@ class Simulation:
         round_index = self.round_index
         self.round_index = round_index + 1
 
-        file_id, volunteers, mode_draw, pick_draw = drawn
+        requester_id, file_id, volunteers, mode_draw, pick_draw = drawn
         if not volunteers:
             return RoundRecord(
                 round_index, requester_id, file_id, (), Gate.NO_VOLUNTEERS,

@@ -21,7 +21,7 @@ scheme can be reimplemented exactly:
 * ``random()`` takes the top 53 bits: ``(next_u64() >> 11) * 2**-53``.
 * A draw below ``n`` is the multiply-shift bounded draw ``(u * n) >> 64``
   of one output ``u``.  Its bias is below ``n / 2**64``, which is
-  negligible for every n used here: ``SimConfig.validate`` keeps the
+  negligible for every n used here: a ``SimConfig`` keeps the
   catalog and the population below 2**32.
 * Integer bounds: ``random() < p`` holds exactly when ``u <
   random_bound(p)``, ``ceil(p * 2**53) << 11``, for any p in [0, 1]

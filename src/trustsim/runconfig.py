@@ -75,7 +75,7 @@ def parse_run_config(text: str, overrides: dict[str, str] | None = None) -> RunC
                 sim_kwargs[key] = parse(raw[key])
             except ValueError as exc:
                 raise ConfigError(key, str(exc)) from None
-    return RunConfig(SimConfig(**sim_kwargs).validate(), raw["metrics_csv"], raw.get("trace_csv"))
+    return RunConfig(SimConfig(**sim_kwargs), raw["metrics_csv"], raw.get("trace_csv"))
 
 
 def load_run_config(path, overrides: dict[str, str] | None = None) -> RunConfig:

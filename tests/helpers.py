@@ -1,5 +1,6 @@
 """Shared test helpers."""
 
+from itertools import chain
 from typing import NamedTuple
 
 from trustsim.ledger import EventKind
@@ -51,10 +52,12 @@ def scalar_holdings(seed, peer_id, holdings_size, catalog_size):
 
 
 def play_round(sim, requester):
-    """Draw and apply the next round of ``sim`` for a forced requester, with
-    the draws of the round's own stream from its start."""
+    """Draw and apply the next round of ``sim`` for a forced requester: the
+    smallest output that draws it, then the draws of the round's own stream
+    from its start."""
+    first = -(-(requester << 64) // sim.population.size)
     stream = Stream.from_path(sim.config.rng_seed, "round", sim.round_index)
-    return sim.run_round(requester, sim.draw_round(requester, iter(stream.next_u64, None)))
+    return sim.run_round(sim.draw_round(chain([first], iter(stream.next_u64, None))))
 
 
 class Event(NamedTuple):

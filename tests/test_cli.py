@@ -270,6 +270,8 @@ def test_simulate_non_integer_seed_is_config_error(tmp_path, capsys, monkeypatch
     path, _ = write_config(tmp_path)
     assert run_cli("simulate", str(path), "--seeds", "1,x") == 2
     assert "error: --seeds: 'x' is not an integer" in capsys.readouterr().err
+    assert run_cli("simulate", str(path), "--seeds", ",") == 2
+    assert "error: --seeds: empty seed list" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 1)])
@@ -322,7 +324,7 @@ def test_simulate_trace_export(tmp_path):
     assert len(lines) > 1
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
 @pytest.mark.parametrize("key, argv", [
     *((key, ("simulate",)) for key in ("p", "penalty", "threshold", "floor")),
     *(
@@ -345,7 +347,8 @@ def test_non_finite_reals_rejected_naming_the_key(key, argv, value, tmp_path, ca
     else:
         config, _ = write_config(tmp_path, **{key: value})
         argv = [*argv, str(config)]
-        named = f"error: {key}: must be a finite number"
+        named = f"error: {key}: " + (
+            "could not convert string to float" if value == "abc" else "must be a finite number")
     assert run_cli(*argv) == 2
     assert named in capsys.readouterr().err
 

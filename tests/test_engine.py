@@ -36,8 +36,10 @@ from trustsim.rng import (
     TAIL_BLOCK,
     Stream,
     _mix_lanes,
+    derive_seed,
     draw_hypergeom,
     hypergeom_cdf,
+    round_draws,
 )
 
 from helpers import ListStream, flatten, play_round, randbelow, scalar_holdings, u64s, uniform
@@ -82,8 +84,11 @@ def set_holdings(sim: Simulation, assignment: dict[int, set[int]]) -> None:
 def test_config_validation_names_offending_key():
     cases = [
         (dict(reach=12), "reach"),  # population is 12, max sampleable is 11
+        (dict(reach=0), "reach"),
         (dict(catalog_size=3), "catalog_size"),
+        (dict(catalog_size=0), "catalog_size"),
         (dict(n=1, catalog_size=24), "n"),
+        (dict(n=0), "n"),
         (dict(p=1.5), "p"),
         (dict(penalty=0.0), "penalty"),
         (dict(threshold=-1.0), "threshold"),
@@ -104,25 +109,28 @@ def test_config_validation_names_offending_key():
     ]
     for overrides, key in cases:
         with pytest.raises(ConfigError) as err:
-            small_config(**overrides).validate()
+            small_config(**overrides)
         assert err.value.key == key, overrides
 
 
 def test_config_just_below_the_draw_range_validates():
     # Validation builds no peer, so these are cheap to check; a run of them
     # would still exceed memory.
-    small_config(catalog_size=2**32 - 1).validate()
-    small_config(good_founders=2**32 - 5).validate()
-    small_config(newcomers=(Injection(1, 2**32 - 13, Behavior.LIAR),)).validate()
+    small_config(catalog_size=2**32 - 1)
+    small_config(good_founders=2**32 - 5)
+    small_config(newcomers=(Injection(1, 2**32 - 13, Behavior.LIAR),))
 
 
 def test_config_defaults_resolve():
     resolved = small_config(
         good_founders=1400, bad_founders=300, liar_founders=300,
         catalog_size=1000, n=100, reach=None, queries_per_cycle=None,
-    ).validate()
+    )
     assert resolved.queries_per_cycle == 200  # population // 10
     assert resolved.reach == calibrated_reach(1400, 300, 300, 100)
+    with pytest.raises(ConfigError) as err:
+        dataclasses.replace(resolved, p=1.5)  # a copy checks itself too
+    assert err.value.key == "p"
 
 
 def test_calibrated_reach_formula():
@@ -131,6 +139,10 @@ def test_calibrated_reach_formula():
     assert calibrated_reach(0, 0, 100, 10) == 30
     with pytest.raises(ConfigError):
         calibrated_reach(1, 0, 0, 10)
+    for n in (0, -1):
+        with pytest.raises(ConfigError) as err:
+            calibrated_reach(2, 0, 0, n)
+        assert err.value.key == "n"
 
 
 def test_parse_injections():
@@ -139,6 +151,7 @@ def test_parse_injections():
         Injection(300, 100, Behavior.GOOD_SERVER),
         Injection(500, 5, Behavior.LIAR),
     )
+    assert parse_injections("300:100:good,") == items[:1]  # an empty entry is skipped
     with pytest.raises(ValueError):
         parse_injections("300:100")
     with pytest.raises(ValueError):
@@ -398,58 +411,71 @@ def test_round_selected_good_server_event_kind():
     ]
 
 
-def test_round_unknown_requester_rejected():
-    # The last peer is a liar, then a truthful peer: -1 must not wrap onto it.
-    for cfg in (small_config(), small_config(liar_founders=0)):
-        sim = Simulation(cfg)
-        for requester in range(4):
-            play_round(sim, requester)
-        round_index, scores = sim.round_index, list(sim.ledger.scores)
-        for requester in (-1, sim.population.size, 999):
-            with pytest.raises(IndexError):
-                play_round(sim, requester)
-        assert sim.round_index == round_index and sim.ledger.scores == scores
-
-
 def test_file_redraw_at_the_holdings_edges():
-    """Crafted file draws for requesters holding the catalog's first and
-    last files, the first file and a middle one, and two adjacent files: a
-    draw landing on a held file (at either end of the outputs that give it)
-    is redrawn, and a draw above the largest held file is taken.  The file
-    and the draws used match a scalar loop over a set of the holdings."""
+    """Crafted draws for requesters holding the catalog's first and last
+    files, the first file and a middle one, two adjacent files, and a liar
+    holding two files: a file draw landing on a held file (at either end of
+    the outputs that give it) is redrawn, and a draw above the largest held
+    file is taken.  The requester draw's first and last outputs give peers
+    0 and ``size - 1``, never a peer outside the ids.  The requester, the
+    file and the draws used match a scalar loop over a set of the
+    holdings."""
     catalog = 8
     sim = Simulation(small_config(good_founders=3, bad_founders=0, liar_founders=1,
                                   catalog_size=catalog, n=4, reach=2))
-    set_holdings(sim, {0: {0, catalog - 1}, 1: {0, 3}, 2: {4, 5}})
+    size = sim.population.size
+    set_holdings(sim, {0: {0, catalog - 1}, 1: {0, 3}, 2: {4, 5}, 3: {2, 6}})
 
-    def lowest(file_id):  # the smallest output that gives file_id
-        return -(-(file_id << 64) // catalog)
+    def lowest(value, n=catalog):  # the smallest output that draws value below n
+        return -(-(value << 64) // n)
 
-    def highest(file_id):  # the largest output that gives file_id
-        return lowest(file_id + 1) - 1
+    def highest(value, n=catalog):  # the largest output that draws value below n
+        return lowest(value + 1, n) - 1
 
     cases = (
-        (0, [lowest(0), highest(0), lowest(7), highest(7), highest(0), lowest(1)], 1),
-        (0, [highest(7), lowest(0), highest(6)], 6),
-        (1, [lowest(0), highest(3), lowest(3), lowest(4)], 4),  # above the largest
-        (1, [highest(3), highest(7)], 7),  # the last file, above the largest
-        (1, [highest(0), highest(2)], 2),  # below a held file
-        (2, [lowest(5), highest(4), highest(5), lowest(3)], 3),
-        (2, [highest(5), lowest(6)], 6),
+        (0, 0, [lowest(0), highest(0), lowest(7), highest(7), highest(0), lowest(1)], 1),
+        (highest(0, size), 0, [highest(7), lowest(0), highest(6)], 6),
+        (lowest(1, size), 1, [lowest(0), highest(3), lowest(3), lowest(4)], 4),  # above the largest
+        (highest(1, size), 1, [highest(3), highest(7)], 7),  # the last file, above the largest
+        (lowest(1, size), 1, [highest(0), highest(2)], 2),  # below a held file
+        (lowest(2, size), 2, [lowest(5), highest(4), highest(5), lowest(3)], 3),
+        (highest(2, size), 2, [highest(5), lowest(6)], 6),
+        (2**64 - 1, size - 1, [lowest(2), highest(6), lowest(7)], 7),  # the liar
     )
-    for requester, file_draws, chosen in cases:
-        draws = file_draws + list(range(101, 121))  # then volunteer, mode and pick draws
+    for first, requester, file_draws, chosen in cases:
+        draws = [first] + file_draws + list(range(101, 121))  # then volunteer, mode and pick
         stream = ListStream(draws)
+        assert randbelow(stream, size) == requester
         held = set(sim.population.holdings[requester])
         file_id = randbelow(stream, catalog)
         while file_id in held:
             file_id = randbelow(stream, catalog)
         assert file_id == chosen
-        expected = (file_id, scalar_volunteers(sim.population, stream, requester, file_id),
+        expected = (requester, file_id,
+                    scalar_volunteers(sim.population, stream, requester, file_id),
                     stream.next_u64(), stream.next_u64())
         remaining = iter(draws)
-        assert sim.draw_round(requester, remaining) == expected, (requester, file_draws)
+        assert sim.draw_round(remaining) == expected, (first, file_draws)
         assert next(remaining) == stream.next_u64()  # the same draws were used
+
+
+def test_draw_round_reads_no_trust():
+    """A cycle's rounds drawn with no ledger at all are the rounds that
+    ``run_cycle`` then applies, after trust has moved."""
+    sim = Simulation(small_config(threshold=2.0, queries_per_cycle=30))
+    for cycle in range(2):
+        sim.run_cycle(cycle)
+    config = sim.config
+    prefix = derive_seed(config.rng_seed, "round")
+    ledger, sim.ledger = sim.ledger, None
+    drawn = [sim.draw_round(draws)
+             for draws in round_draws(prefix, sim.round_index, config.queries_per_cycle)]
+    sim.ledger = ledger
+    applied = []
+    apply = sim.run_round
+    sim.run_round = lambda drawn_round: applied.append(drawn_round) or apply(drawn_round)
+    sim.run_cycle(2)
+    assert applied == drawn
 
 
 # --- volunteer sampling ---

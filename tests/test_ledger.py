@@ -273,6 +273,11 @@ TRACE_CALLS = st.lists(
 @example(penalty=1.0, floor=-0.0, peers=1, first_round=0,
          calls=[("penalize", 0), ("credit", 0, EventKind.VOLUNTEER_CREDIT),
                 ("penalize", 0), ("penalize", 0)])
+# More distinct scores than the sink's text cache keeps (4,096), so it is
+# cleared once, and rows after the clear repeat scores seen before it.
+@example(penalty=4000.0, floor=-2.25, peers=1, first_round=0,
+         calls=[("credit_many", [0] * 4100, EventKind.VOLUNTEER_CREDIT), ("penalize", 0),
+                ("credit_many", [0] * 3, EventKind.VOLUNTEER_CREDIT)])
 def test_event_csv_sink_writes_what_csv_writer_writes(penalty, floor, peers, calls, first_round):
     ledger, batches, buffer = traced_ledger(penalty, floor, peers)
     for round_index, (name, *args) in enumerate(calls, first_round):
