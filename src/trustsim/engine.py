@@ -28,8 +28,8 @@ batch of ``queries_per_cycle`` rounds; metrics are recorded per cycle.
 
 Determinism: all randomness derives from ``rng_seed`` via counter-based
 stream splitting (see :mod:`trustsim.rng`) — one stream per peer for its
-holdings (one step from a prefix derived once), one per round for all its
-draws — so a run is byte-reproducible from its configuration.
+holdings, one per round for all its draws, both from ``rng.round_draws``
+— so a run is byte-reproducible from its configuration.
 
 Draw, then apply: a round's stream depends only on the seed and the round
 index, so each round of ``run_cycle`` is two steps.  ``draw_round`` draws
@@ -52,8 +52,8 @@ from typing import Iterator, NamedTuple
 
 from .game import Selection
 from .ledger import EventKind, EventSink, LedgerConfig, TrustLedger
-from .rng import (RANDOM_SCALE, child_seed, derive_seed, draw_hypergeom, hypergeom_cdf,
-                  round_draws, u64_stream)
+from .rng import (BLOCK_WIDTH, RANDOM_SCALE, derive_seed, draw_hypergeom, hypergeom_cdf,
+                  round_draws)
 
 DEFAULT_VOLUNTEER_TARGET = 30.0
 # Every draw below n has n below this (the rng module docstring): the
@@ -147,8 +147,6 @@ class SimConfig:
             raise ConfigError("good_founders", "need at least 2 founders in total")
         if self.founder_population >= MAX_DRAW_RANGE:
             raise ConfigError("good_founders", "founders must number below 2**32")
-        if self.catalog_size < 1:
-            raise ConfigError("catalog_size", "must be >= 1")
         if self.catalog_size >= MAX_DRAW_RANGE:
             raise ConfigError("catalog_size", "must be below 2**32")
         if self.n < 1:
@@ -245,15 +243,15 @@ class Population:
     truthful-holder index, and the volunteer draw; :func:`build_population`
     adds the founders.
 
-    A peer's holdings are an ``array`` of its ``holdings_size`` file ids in
-    strictly increasing order (typecode ``HOLDINGS_TYPECODE``), so a
-    membership test is a bisection and a peer keeps no per-file objects."""
+    ``holdings`` is one ``array`` (typecode ``HOLDINGS_TYPECODE``): its slice
+    ``[i * h:(i + 1) * h]``, h = ``holdings_size``, is peer i's file ids in
+    strictly increasing order, so a membership test is a bisection."""
 
     def __init__(self, config: SimConfig):
         self.config = config
         self.holdings_size = holdings_size(config.catalog_size, config.n)
         self.behaviors: list[Behavior] = []
-        self.holdings: list[array] = []  # sorted file ids per peer
+        self.holdings = array(HOLDINGS_TYPECODE)  # sorted file ids, peer after peer
         self.liar_pool: list[int] = []
         self.holders_by_file: list[array] = [  # truthful peer ids per file, in id order
             array(HOLDINGS_TYPECODE) for _ in range(config.catalog_size)]
@@ -271,15 +269,22 @@ class Population:
     def liar_count(self) -> int:
         return len(self.liar_pool)
 
-    def add_peer(self, behavior: Behavior) -> int:
+    def add_peers(self, behavior: Behavior, count: int) -> None:
+        """Add ``count`` peers of ``behavior``, their holdings drawn together."""
+        size = self.holdings_size
+        for draws in round_draws(self._holdings_prefix, self.size, count,
+                                 min(size, BLOCK_WIDTH), size):
+            self.add_peer(behavior, draws)
+
+    def add_peer(self, behavior: Behavior, draws: Iterator[int]) -> int:
+        """Add one peer, its holdings drawn from ``draws``, its holdings stream."""
         peer_id = len(self.behaviors)
         size, catalog = self.holdings_size, self.config.catalog_size
-        draws = u64_stream(child_seed(self._holdings_prefix, peer_id), size)
         files = {(u * catalog) >> 64 for u in islice(draws, size)}
         while len(files) < size:  # a repeat: draw on
             files.add((next(draws) * catalog) >> 64)
         self.behaviors.append(behavior)
-        self.holdings.append(array(HOLDINGS_TYPECODE, sorted(files)))
+        self.holdings.extend(sorted(files))
         if behavior.truthful:
             for file_id in files:
                 self.holders_by_file[file_id].append(peer_id)
@@ -369,8 +374,7 @@ def build_population(config: SimConfig) -> Population:
         (Behavior.BAD_SERVER, config.bad_founders),
         (Behavior.LIAR, config.liar_founders),
     ):
-        for _ in range(count):
-            population.add_peer(behavior)
+        population.add_peers(behavior, count)
     return population
 
 
@@ -442,13 +446,14 @@ class Simulation:
         outputs; reads no trust.  ``run_round`` applies them."""
         population = self.population
         requester_id = (next(draws) * population.size) >> 64  # a draw below size
-        holdings = population.holdings[requester_id]
-        held = len(holdings)
+        holdings = population.holdings
+        lo = requester_id * population.holdings_size
+        hi = lo + population.holdings_size
         catalog = self.config.catalog_size
         for u in draws:
             file_id = (u * catalog) >> 64  # a draw below catalog
-            i = bisect_left(holdings, file_id)  # holdings are sorted
-            if i == held or holdings[i] != file_id:  # not held
+            i = bisect_left(holdings, file_id, lo, hi)  # the requester's files are sorted
+            if i == hi or holdings[i] != file_id:  # not held
                 break
         volunteers = population.volunteers(draws, requester_id, file_id)
         return requester_id, file_id, volunteers, next(draws), next(draws)
@@ -496,8 +501,8 @@ class Simulation:
     def _inject(self, cycle: int) -> None:
         while self._pending and self._pending[0].cycle <= cycle:
             injection = self._pending.pop(0)
+            self.population.add_peers(injection.behavior, injection.count)
             for _ in range(injection.count):
-                self.population.add_peer(injection.behavior)
                 self.ledger.register()
 
     def _metrics_row(self, cycle: int, successes: int, failures: int) -> "MetricsRow":

@@ -45,24 +45,26 @@ scheme can be reimplemented exactly:
   needs no cut, because only low halves are read.  The low 64 bits of lane
   ``i`` are output ``i``, read back from ``int.to_bytes`` as little-endian
   words, every second word.
-* Round draws: ``round_draws(prefix, start, count)`` gives one iterator
-  over the outputs of each path ``(*path, start + i)``, ``i < count``,
-  ``BLOCK_GROUP`` paths per pass.  For ``prefix = derive_seed(master,
-  *path)``, one lane pass derives the states as ``mix64(prefix XOR
-  mix64((start + i + GOLDEN) mod 2**64))``, ``start + i`` in lane ``i``.
-  A second applies the block rule to every state at once, for its first
-  ``BLOCK_WIDTH`` outputs: state ``g`` fills lanes ``g * BLOCK_WIDTH`` to
-  ``(g + 1) * BLOCK_WIDTH - 1``, built from the bytes of its 128-bit lane
-  repeated (no multiply), plus the lane steps ``(k + 1) * GOLDEN`` in lane
-  ``k`` of each state's lanes.  Tail rule: output ``k >= BLOCK_WIDTH`` of
-  a stream is output ``k - BLOCK_WIDTH`` of ``Stream(state + BLOCK_WIDTH *
-  GOLDEN)``, read from ``u64_stream`` in blocks of ``TAIL_BLOCK``, each
-  computed only when the iterator reaches it.
-* Holdings: peer ``i`` draws from ``u64_stream(child_seed(prefix, i),
-  h)``, ``prefix = derive_seed(master, "holdings")`` derived once per
-  population, ``h`` the holdings size.  Its files are the draws below the
-  catalog size of the first ``h`` outputs, then of one output at a time
-  (from the blocks that follow) while a repeat leaves fewer than ``h``.
+* Round draws: ``round_draws(prefix, start, count, width, tail)`` gives
+  one iterator over the outputs of each path ``(*path, start + i)``, ``i <
+  count``, ``BLOCK_GROUP`` paths per pass.  For ``prefix =
+  derive_seed(master, *path)``, one lane pass derives the states as
+  ``mix64(prefix XOR mix64((start + i + GOLDEN) mod 2**64))``, ``start +
+  i`` in lane ``i``.  A second applies the block rule to every state at
+  once, for its first ``width`` outputs (``BLOCK_WIDTH`` for a round):
+  state ``g`` fills lanes ``g * width`` to ``(g + 1) * width - 1``, built
+  from the bytes of its 128-bit lane repeated (no multiply), plus the lane
+  steps ``(k + 1) * GOLDEN`` in lane ``k`` of each state's lanes.  Tail
+  rule: output ``k >= width`` of a stream is output ``k - width`` of
+  ``Stream(state + width * GOLDEN)``, from ``_blocks`` in blocks of
+  ``tail`` (``TAIL_BLOCK`` for a round; at most ``_MAX_LANES``), each made
+  only when the iterator reaches it: most streams never call ``_blocks``.
+* Holdings: peer ``i`` draws from the stream of path ``("holdings", i)``,
+  from ``round_draws(derive_seed(master, "holdings"), first, count,
+  min(h, BLOCK_WIDTH), h)`` for peers ``first`` to ``first + count - 1``
+  added together, ``h`` the holdings size.  Its files are the draws below
+  the catalog size of the first ``h`` outputs, then of one output at a
+  time while a repeat leaves fewer than ``h``.
 """
 
 from __future__ import annotations
@@ -136,10 +138,15 @@ def _lanes(width: int) -> tuple[struct.Struct, int, int, int]:
     )
 
 
-# round_draws: i in lane i, and a whole group's lane steps and lane mask.
+# round_draws: i in lane i.
 _INDEX = _packed(list(range(BLOCK_GROUP)))
-_GROUP_STEPS = _packed([(k * _GOLDEN) & _MASK64 for k in range(1, BLOCK_WIDTH + 1)] * BLOCK_GROUP)
-_GROUP_MASK = _packed([_MASK64] * (BLOCK_GROUP * BLOCK_WIDTH))
+
+
+@cache
+def _group(width: int) -> tuple[int, int]:
+    """The lane steps and lane mask of ``BLOCK_GROUP`` states of ``width`` lanes."""
+    return (_packed([(k * _GOLDEN) & _MASK64 for k in range(1, width + 1)] * BLOCK_GROUP),
+            _packed([_MASK64] * (BLOCK_GROUP * width)))
 
 
 def _fnv64(text: str) -> int:
@@ -162,15 +169,18 @@ def derive_seed(master_seed: int, *path: int | str) -> int:
     return state
 
 
-def round_draws(prefix: int, start: int, count: int) -> Iterator[Iterator[int]]:
+def round_draws(prefix: int, start: int, count: int, width: int = BLOCK_WIDTH,
+                tail: int = TAIL_BLOCK) -> Iterator[Iterator[int]]:
     """The outputs of ``Stream(derive_seed(master, *path, start + i))``,
-    ``i < count``, one iterator per round, for ``prefix =
-    derive_seed(master, *path)`` (see the module docstring).  Each iterator
-    is made when it is reached, and its tail blocks when it is consumed
-    past them."""
-    if count < 0:
-        raise ValueError("round_draws requires count >= 0")
-    reader = _lanes(BLOCK_WIDTH)[0]
+    ``i < count``, one iterator per stream, for ``prefix =
+    derive_seed(master, *path)``: the first ``width`` from the lane pass,
+    then blocks of ``tail`` (see the module docstring).  Each iterator is
+    made when it is reached, and its tail blocks when it is read past them."""
+    if count < 0 or width < 1 or tail < 1:
+        raise ValueError("round_draws requires count >= 0, width >= 1 and tail >= 1")
+    reader = _lanes(width)[0]
+    group_steps, group_mask = _group(width)
+    skip, tail = width * _GOLDEN, min(tail, _MAX_LANES)
     for first in range(start, start + count, BLOCK_GROUP):
         lanes = min(start + count - first, BLOCK_GROUP)
         state_reader, ones, _, mask = _lanes(lanes)
@@ -178,13 +188,19 @@ def round_draws(prefix: int, start: int, count: int) -> Iterator[Iterator[int]]:
         z = _mix_lanes((_mix_lanes(z, mask) & mask) ^ (prefix * ones), mask)
         states = state_reader.unpack(z.to_bytes(state_reader.size, "little"))
         cut = 8 * reader.size * (BLOCK_GROUP - lanes)  # the lanes of absent states
-        packed = b"".join([state.to_bytes(16, "little") * BLOCK_WIDTH for state in states])
-        mask = _GROUP_MASK >> cut
-        z = _mix_lanes((int.from_bytes(packed, "little") + (_GROUP_STEPS >> cut)) & mask, mask)
+        packed = b"".join([state.to_bytes(16, "little") * width for state in states])
+        mask = group_mask >> cut
+        z = _mix_lanes((int.from_bytes(packed, "little") + (group_steps >> cut)) & mask, mask)
         buf = z.to_bytes(reader.size * lanes, "little")
         for g, state in enumerate(states):
-            tail = u64_stream(state + BLOCK_WIDTH * _GOLDEN, TAIL_BLOCK)
-            yield chain(reader.unpack_from(buf, g * reader.size), tail)
+            yield chain.from_iterable(
+                _continued(reader.unpack_from(buf, g * reader.size), state + skip, tail))
+
+
+def _continued(first: tuple[int, ...], state: int, width: int) -> Iterator[tuple[int, ...]]:
+    """``first``, then the blocks of ``Stream(state)``, made only when reached."""
+    yield first
+    yield from _blocks(state & _MASK64, width)
 
 
 def u64_stream(state: int, block: int) -> Iterator[int]:

@@ -51,6 +51,12 @@ def scalar_holdings(seed, peer_id, holdings_size, catalog_size):
     return files
 
 
+def holdings_of(population, pid):
+    """Peer ``pid``'s files: its slice of the flat ``Population.holdings``."""
+    size = population.holdings_size
+    return population.holdings[pid * size:(pid + 1) * size]
+
+
 def play_round(sim, requester):
     """Draw and apply the next round of ``sim`` for a forced requester: the
     smallest output that draws it, then the draws of the round's own stream

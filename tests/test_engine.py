@@ -6,7 +6,7 @@ from array import array
 from collections.abc import Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trustsim import engine, rng
@@ -42,7 +42,8 @@ from trustsim.rng import (
     round_draws,
 )
 
-from helpers import ListStream, flatten, play_round, randbelow, scalar_holdings, u64s, uniform
+from helpers import (ListStream, flatten, holdings_of, play_round, randbelow, scalar_holdings,
+                     u64s, uniform)
 
 
 def small_config(**overrides):
@@ -65,16 +66,19 @@ def small_config(**overrides):
 
 
 def set_holdings(sim: Simulation, assignment: dict[int, set[int]]) -> None:
-    """White-box: pin exact holdings, as the sorted array ``add_peer``
-    builds, and rebuild the holder index."""
+    """White-box: pin exact holdings, as the sorted slice ``add_peer``
+    writes, and rebuild the holder index."""
     population = sim.population
+    size = population.holdings_size
     for pid, files in assignment.items():
-        population.holdings[pid] = array(engine.HOLDINGS_TYPECODE, sorted(files))
+        assert len(files) == size
+        population.holdings[pid * size:(pid + 1) * size] = array(
+            engine.HOLDINGS_TYPECODE, sorted(files))
     population.holders_by_file = [
         array(engine.HOLDINGS_TYPECODE) for _ in range(population.config.catalog_size)]
     for pid in range(population.size):
         if population.behaviors[pid].truthful:
-            for file_id in population.holdings[pid]:
+            for file_id in holdings_of(population, pid):
                 population.holders_by_file[file_id].append(pid)
 
 
@@ -163,9 +167,9 @@ def test_parse_injections():
 
 def test_population_holdings_sizes():
     population = build_population(small_config(catalog_size=1000, n=100))
-    assert all(len(h) == 10 for h in population.holdings)
+    assert population.holdings_size == 10 and len(population.holdings) == 10 * 12
     population = build_population(small_config(catalog_size=24, n=24, reach=6))
-    assert all(len(h) == 1 for h in population.holdings)
+    assert population.holdings_size == 1 and len(population.holdings) == 12
 
 
 def test_population_deterministic_in_seed():
@@ -175,33 +179,70 @@ def test_population_deterministic_in_seed():
     assert other.holdings != build_population(cfg).holdings
 
 
+# Peer counts around the lane pass's group of BLOCK_GROUP (16) streams.
+PEER_BLOCKS = [0, 1, 15, 16, 17, 33]
+
+
 @st.composite
 def holdings_cases(draw):
-    """Holdings sizes from 1 to past 64 lanes, on both sides of a lane width
-    (16 and 17); a catalog from one file above the size (many repeated
-    draws, so several tail blocks) to ten times it; seeds at both ends of
-    the range; newcomers of each behavior.  A config gives a catalog of at
-    least twice the size (n >= 2), so the test sets the size itself."""
-    size = draw(st.sampled_from([1, 10, 16, 17, 65, 100]))
+    """Holdings sizes from 1 to past ``BLOCK_WIDTH`` (the first block is
+    capped there), on both sides of a lane width (16 and 17); a catalog
+    from one file above the size (many repeated draws, so several tail
+    blocks) to ten times it; founder blocks and injections on both sides of
+    a group of 16; seeds at both ends of the range; newcomers of each
+    behavior.  A config gives a catalog of at least twice the size (n >=
+    2), so the test sets the size itself."""
+    size = draw(st.sampled_from([1, 10, 16, 17, 64, 65, 100]))
     catalog = size + draw(st.one_of(st.integers(1, 3), st.integers(1, 9 * size)))
+    good, bad, liars = (draw(st.sampled_from(PEER_BLOCKS)) for _ in range(3))
     newcomers = tuple(
-        Injection(cycle, draw(st.integers(1, 3)), draw(st.sampled_from(Behavior)))
+        Injection(cycle, draw(st.sampled_from([1, 2, 16, 17])), draw(st.sampled_from(Behavior)))
         for cycle in range(draw(st.integers(0, 2)))
     )
+    if good + bad + liars < 2:
+        good += 2
     seed = draw(st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)))
-    return size, small_config(catalog_size=catalog, n=2, rng_seed=seed, newcomers=newcomers)
+    return size, holdings_config(good, bad, liars, catalog, seed, newcomers)
+
+
+def holdings_config(good, bad, liars, catalog, seed, newcomers=()):
+    return small_config(good_founders=good, bad_founders=bad, liar_founders=liars,
+                        catalog_size=catalog, n=2, reach=1, rng_seed=seed, newcomers=newcomers)
+
+
+def _joining(*counts):
+    """Injections of ``counts`` newcomers, one per cycle, of rotating behaviors."""
+    behaviors = list(Behavior)
+    return tuple(Injection(cycle, count, behaviors[cycle % 3]) for cycle, count in enumerate(counts))
 
 
 @settings(max_examples=80, deadline=None)
 @given(holdings_cases())
+# Every founder block of 15, 16, 17 and 33, injections of 1, 16 and 17, and
+# each holdings size with a catalog one file above it, so repeats take the tail.
+@example((1, holdings_config(15, 16, 17, 2, 0, _joining(1, 16, 17))))
+@example((10, holdings_config(33, 16, 15, 11, 2**64 - 1, _joining(17, 1, 16))))
+@example((64, holdings_config(17, 33, 1, 65, 5, _joining(16, 17, 1))))
+@example((65, holdings_config(16, 15, 33, 66, 6, _joining(1, 17, 16))))
+@example((100, holdings_config(33, 17, 0, 101, 7, _joining(16, 1, 17))))
 def test_holdings_equal_scalar_reference(case):
     """Founders and the newcomers ``_inject`` adds hold what one scalar
     draw at a time from each peer's own stream gives, as ``holdings_size``
-    strictly increasing 4-byte file ids (``draw_round`` bisects them), and
-    ``holders_by_file`` indexes the truthful ones in id order."""
+    strictly increasing 4-byte file ids (``draw_round`` bisects them) in
+    the peer's slice of ``holdings``, and ``holders_by_file`` indexes the
+    truthful ones in id order.  A catalog one file above the size draws
+    past the first block of some peer."""
     size, config = case
+    blocks = rng._blocks
+    tails = []
+
+    def counting_blocks(state, width):
+        tails.append(width)
+        return blocks(state, width)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "holdings_size", lambda catalog, n: size)
+        patch.setattr(rng, "_blocks", counting_blocks)
         sim = Simulation(config)
         sim._inject(len(config.newcomers))
     population = sim.population
@@ -210,16 +251,40 @@ def test_holdings_equal_scalar_reference(case):
         scalar_holdings(config.rng_seed, pid, size, config.catalog_size)
         for pid in range(population.size)
     ]
-    assert [list(files) for files in population.holdings] == [sorted(f) for f in expected]
-    for files in population.holdings:
-        assert files.itemsize == 4 and len(files) == size
+    assert population.holdings.itemsize == 4
+    assert len(population.holdings) == size * population.size
+    assert [list(holdings_of(population, pid)) for pid in range(population.size)] == [
+        sorted(f) for f in expected]
+    for pid in range(population.size):
+        files = holdings_of(population, pid)
         assert all(a < b for a, b in zip(files, files[1:]))
+    assert set(tails) <= {size}
+    if config.catalog_size == size + 1 and size > 1:
+        assert tails
     holders = [[] for _ in range(config.catalog_size)]
     for pid, files in enumerate(expected):
         if population.behaviors[pid].truthful:
             for file_id in files:
                 holders[file_id].append(pid)
     assert [list(ids) for ids in population.holders_by_file] == holders
+
+
+def test_add_peer_is_called_once_per_peer(monkeypatch):
+    """perfbench's tracer wraps ``Population.add_peer``, taken from the
+    class dict, and counts its calls as the peers added: it must be called
+    once per founder and once per newcomer, in id order."""
+    add_peer = vars(engine.Population)["add_peer"]
+    added = []
+
+    def counting(population, behavior, draws):
+        added.append(behavior)
+        return add_peer(population, behavior, draws)
+
+    monkeypatch.setattr(engine.Population, "add_peer", counting)
+    sim = Simulation(small_config(newcomers=_joining(17, 1, 16)))
+    assert added == sim.population.behaviors and len(added) == 12
+    sim.run()
+    assert added == sim.population.behaviors and len(added) == 12 + 34
 
 
 def test_population_indexes_are_consistent():
@@ -230,19 +295,20 @@ def test_population_indexes_are_consistent():
     for file_id, holders in enumerate(population.holders_by_file):
         for pid in holders:
             assert population.behaviors[pid].truthful
-            assert file_id in population.holdings[pid]
+            assert file_id in holdings_of(population, pid)
     # every truthful holding is indexed
     for pid in range(population.size):
         if population.behaviors[pid].truthful:
-            for file_id in population.holdings[pid]:
+            for file_id in holdings_of(population, pid):
                 assert pid in population.holders_by_file[file_id]
 
 
 def test_build_population_bytes_per_peer():
-    """Memory guard: building the desk founders traces at most 400 B per
-    peer (about 230: the sorted holdings array, 4 B per truthful holding in
-    ``holders_by_file``, the id lists); per-peer hash sets of int objects
-    took about 1,090."""
+    """Memory guard: building the desk founders traces at most 200 B per
+    peer (about 150: 4 B per file in the flat holdings array, 4 B per
+    truthful holding in ``holders_by_file``, the id lists); an array per
+    peer took about 230, and per-peer hash sets of int objects about
+    1,090."""
     config = small_config(good_founders=1400, bad_founders=300, liar_founders=300,
                           catalog_size=1000, n=100, reach=189, rng_seed=1)
     tracemalloc.start()
@@ -252,7 +318,10 @@ def test_build_population_bytes_per_peer():
     finally:
         tracemalloc.stop()
     assert population.size == 2000
-    assert traced / population.size <= 400
+    assert traced / population.size <= 200
+    holdings = population.holdings
+    assert type(holdings) is array and holdings.itemsize == 4
+    assert len(holdings) == population.size * population.holdings_size
     assert all(ids.itemsize == 4 for ids in population.holders_by_file)
 
 
@@ -446,7 +515,7 @@ def test_file_redraw_at_the_holdings_edges():
         draws = [first] + file_draws + list(range(101, 121))  # then volunteer, mode and pick
         stream = ListStream(draws)
         assert randbelow(stream, size) == requester
-        held = set(sim.population.holdings[requester])
+        held = set(holdings_of(sim.population, requester))
         file_id = randbelow(stream, catalog)
         while file_id in held:
             file_id = randbelow(stream, catalog)
@@ -498,7 +567,7 @@ def test_truthful_volunteers_always_hold_the_file():
         record = play_round(sim, requester)
         for pid in record.volunteer_ids:
             if population.behaviors[pid].truthful:
-                assert record.file_id in population.holdings[pid]
+                assert record.file_id in holdings_of(population, pid)
 
 
 def test_volunteer_rates_match_reach_and_holdings():
@@ -533,7 +602,7 @@ def reference_volunteers(population, reach, requester, file_id, rng: random.Rand
         pid
         for pid in sample
         if population.behaviors[pid] is Behavior.LIAR
-        or file_id in population.holdings[pid]
+        or file_id in holdings_of(population, pid)
     ]
     # every sampled liar volunteers, by construction
     assert all(pid in volunteers for pid in sample
@@ -547,7 +616,7 @@ def test_volunteer_draw_matches_reference():
     sim = Simulation(cfg)
     population = sim.population
     requester = 0
-    file_id = next(f for f in range(8) if f not in population.holdings[requester])
+    file_id = next(f for f in range(8) if f not in holdings_of(population, requester))
 
     trials = 30_000
     fast_counts: dict[int, int] = {}
@@ -617,7 +686,7 @@ def volunteer_draws(draw):
     )
     population = build_population(cfg)
     requester = draw(st.integers(0, size - 1))
-    missing = [f for f in range(cfg.catalog_size) if f not in population.holdings[requester]]
+    missing = [f for f in range(cfg.catalog_size) if f not in holdings_of(population, requester)]
     return population, requester, draw(st.sampled_from(missing)), draw(st.integers(0, 2**32))
 
 
@@ -691,7 +760,7 @@ def test_volunteer_draw_equals_scalar_reference_in_edge_cases():
                            catalog_size=4, n=2, reach=reach)
         population = build_population(cfg)
         for requester in range(population.size):
-            for file_id in set(range(4)).difference(population.holdings[requester]):
+            for file_id in set(range(4)).difference(holdings_of(population, requester)):
                 for seed in range(5):
                     block = Stream.from_path(seed, "edge", requester)
                     scalar = Stream.from_path(seed, "edge", requester)
@@ -724,7 +793,7 @@ def test_holder_scan_pre_filter_at_its_bound():
         available = last + at  # at the start of the scan
         population = build_population(small_config(
             good_founders=available + 1, bad_founders=0, liar_founders=0, reach=slots))
-        file_id = min(set(range(24)).difference(population.holdings[0]))  # the requester is 0
+        file_id = min(set(range(24)).difference(holdings_of(population, 0)))  # the requester is 0
         holders = list(range(1, count + 1))
         population.holders_by_file[file_id] = holders
         bound = -(-(slots << 53) // (available - count + 1)) << 11  # the pre-filter's bound
@@ -769,7 +838,7 @@ def test_holder_scan_reads_only_accepted_ids():
         good_founders=30, bad_founders=6, liar_founders=4, catalog_size=12, n=3, reach=8))
     accepted = rejected = 0
     for requester in range(0, population.size, 3):
-        for file_id in set(range(12)).difference(population.holdings[requester]):
+        for file_id in set(range(12)).difference(holdings_of(population, requester)):
             holders = population.holders_by_file[file_id]
             for seed in range(4):
                 expected = scalar_volunteers(
@@ -827,7 +896,7 @@ def scalar_cycle(sim, cycle, records, cases):
         requester = randbelow(stream, population.size)
         cases["liar requesters"] += population.behaviors[requester] is Behavior.LIAR
         file_id = randbelow(stream, config.catalog_size)
-        while file_id in population.holdings[requester]:
+        while file_id in holdings_of(population, requester):
             cases["file re-draws"] += 1
             file_id = randbelow(stream, config.catalog_size)
         volunteers = scalar_volunteers(population, stream, requester, file_id)

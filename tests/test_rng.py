@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trustsim import rng
 from trustsim.engine import holdings_size
 from trustsim.rng import (
     _MAX_LANES,
@@ -136,8 +137,9 @@ def test_block_draws_reject_negative_counts():
     for block in (0, -1):
         with pytest.raises(ValueError):
             u64_stream(1, block)
-    with pytest.raises(ValueError):
-        next(round_draws(0, 0, -1))
+    for count, width, tail in ((-1, BLOCK_WIDTH, TAIL_BLOCK), (1, 0, TAIL_BLOCK), (1, 10, 0)):
+        with pytest.raises(ValueError):
+            next(round_draws(0, 0, count, width, tail))
 
 
 GROUP_COUNTS = st.sampled_from([0, 1, BLOCK_GROUP - 1, BLOCK_GROUP, BLOCK_GROUP + 1])
@@ -150,10 +152,11 @@ ROUND_PATHS = (
 )
 
 
-def _round_streams(seed, start, count):
-    """Each round's iterator from round_draws, with the scalar stream it
-    must equal; all iterators are made before any is read."""
-    rounds = list(round_draws(derive_seed(seed, "round"), start, count))
+def _round_streams(seed, start, count, *widths):
+    """Each round's iterator from round_draws (given the first-block and
+    tail widths ``widths``, if any), with the scalar stream it must equal;
+    all iterators are made before any is read."""
+    rounds = list(round_draws(derive_seed(seed, "round"), start, count, *widths))
     assert len(rounds) == count
     return [(draws, Stream(derive_seed(seed, "round", start + i))) for i, draws in enumerate(rounds)]
 
@@ -184,6 +187,39 @@ def test_extended_draws_continue_the_stream(seed, start, read):
     for draws, stream in _round_streams(seed, start, 2):
         assert list(islice(draws, read)) == u64s(stream, read)
         assert next(draws) == stream.next_u64()
+
+
+@settings(max_examples=200, deadline=None)
+@given(ROUND_PATHS[0], ROUND_PATHS[1], st.sampled_from([1, 2, BLOCK_GROUP, BLOCK_GROUP + 1]),
+       st.sampled_from([1, 10, 65]), st.sampled_from([1, 10, TAIL_BLOCK]))
+def test_other_widths_continue_the_stream(seed, start, count, width, tail):
+    # A first block of another width (the holdings size) from the shared
+    # lane pass, for a group or part of one, then tail blocks of another
+    # width; the reads run into a second tail block.
+    read = width + tail + 3
+    for draws, stream in _round_streams(seed, start, count, width, tail):
+        assert list(islice(draws, read)) == u64s(stream, read)
+
+
+def test_first_block_reads_make_no_tail(monkeypatch):
+    """A stream read only inside its first block computes no tail block:
+    its tail is made when the stream is read past the first block."""
+    widths = []
+    blocks = rng._blocks
+
+    def counting_blocks(state, width):
+        widths.append(width)
+        return blocks(state, width)
+
+    monkeypatch.setattr(rng, "_blocks", counting_blocks)
+    for width in (10, BLOCK_WIDTH):
+        streams = list(round_draws(derive_seed(3, "round"), 0, BLOCK_GROUP, width))
+        for draws in streams:
+            assert len(list(islice(draws, width))) == width
+    assert widths == []
+    draws = next(round_draws(derive_seed(3, "round"), 0, 1, 10, 7))
+    assert len(list(islice(draws, 11))) == 11
+    assert widths == [7]
 
 
 def _exact_pmf(total, tagged, draws):
