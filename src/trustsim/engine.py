@@ -32,11 +32,12 @@ holdings, one per round for all its draws, both from ``rng.round_draws``
 — so a run is byte-reproducible from its configuration.
 
 Draw, then apply: a round's stream depends only on the seed and the round
-index, so each round of ``run_cycle`` is two steps.  ``draw_round`` draws
-the whole round, reading no trust, from one iterator over the round's
-stream (``rng.round_draws``, whose lane passes many rounds share), in
-stream order: requester, file (redrawn while the requester holds it),
-volunteers, selection.  ``run_round`` then applies what was drawn.
+index, so each round of ``run_cycle`` is two steps.  ``Population.draw_round``
+draws the whole round from one iterator over the round's stream
+(``rng.round_draws``, whose lane passes many rounds share), in stream order:
+requester, file (redrawn while the requester holds it), volunteers,
+selection; it reads no trust, as a population holds none.
+``Simulation.run_round`` then applies what was drawn.
 """
 
 from __future__ import annotations
@@ -232,15 +233,15 @@ class RoundRecord(NamedTuple):
     file_id: int
     volunteer_ids: tuple[int, ...]
     gate: Gate
-    mode: Selection | None
-    selected_id: int | None
-    outcome: Outcome | None
-    penalty_delta: float
+    mode: Selection | None = None
+    selected_id: int | None = None
+    outcome: Outcome | None = None
+    penalty_delta: float = 0.0
 
 
 class Population:
     """Peers (dense ids, see above), their holdings, the per-file
-    truthful-holder index, and the volunteer draw; :func:`build_population`
+    truthful-holder index, and the round draw; :func:`build_population`
     adds the founders.
 
     ``holdings`` is one ``array`` (typecode ``HOLDINGS_TYPECODE``): its slice
@@ -257,17 +258,13 @@ class Population:
             array(HOLDINGS_TYPECODE) for _ in range(config.catalog_size)]
         self.newcomer_good_ids: list[int] = []
         self._holdings_prefix = derive_seed(config.rng_seed, "holdings")
-        # Liar-count CDFs for a truthful and for a liar requester; built by
-        # the first draw after the population changes.
-        self._cdfs: tuple | None = None
+        # Liar-count CDFs by the number of liars the requester leaves in the
+        # pool; each built on first use, all dropped when a peer is added.
+        self._cdfs: dict[int, tuple[int, list[float]]] = {}
 
     @property
     def size(self) -> int:
         return len(self.behaviors)
-
-    @property
-    def liar_count(self) -> int:
-        return len(self.liar_pool)
 
     def add_peers(self, behavior: Behavior, count: int) -> None:
         """Add ``count`` peers of ``behavior``, their holdings drawn together."""
@@ -292,8 +289,25 @@ class Population:
             self.liar_pool.append(peer_id)
         if peer_id >= self.config.founder_population and behavior is Behavior.GOOD_SERVER:
             self.newcomer_good_ids.append(peer_id)
-        self._cdfs = None
+        self._cdfs.clear()
         return peer_id
+
+    def draw_round(self, draws: Iterator[int]) -> tuple[int, int, list[int], int, int]:
+        """The requester, the file, the volunteers and the two selection
+        draws of a round, taken in order from ``draws``, the round's stream
+        outputs.  ``Simulation.run_round`` applies them."""
+        requester_id = (next(draws) * self.size) >> 64  # a draw below size
+        holdings = self.holdings
+        lo = requester_id * self.holdings_size
+        hi = lo + self.holdings_size
+        catalog = self.config.catalog_size
+        for u in draws:
+            file_id = (u * catalog) >> 64  # a draw below catalog
+            i = bisect_left(holdings, file_id, lo, hi)  # the requester's files are sorted
+            if i == hi or holdings[i] != file_id:  # not held
+                break
+        volunteers = self.volunteers(draws, requester_id, file_id)
+        return requester_id, file_id, volunteers, next(draws), next(draws)
 
     def volunteers(self, draws: Iterator[int], requester_id: int, file_id: int) -> list[int]:
         """Draw one query's volunteer set, taking from ``draws`` (raw 64-bit
@@ -308,13 +322,6 @@ class Population:
         Fisher-Yates sample.  The requester must not hold the file;
         ``liar_pool`` is left as it was found.
         """
-        if self._cdfs is None:
-            others, liars, reach = self.size - 1, self.liar_count, self.config.reach
-            # A truthful requester exists only if some peer is not a liar.
-            self._cdfs = (
-                hypergeom_cdf(others, liars, reach) if liars <= others else None,
-                hypergeom_cdf(others, liars - 1, reach) if liars > 0 else None,
-            )
         pool = self.liar_pool
         requester_is_liar = self.behaviors[requester_id] is Behavior.LIAR
         liar_limit = len(pool) - 1 if requester_is_liar else len(pool)
@@ -326,7 +333,10 @@ class Population:
             pool[pos], pool[liar_limit] = pool[liar_limit], pool[pos]
         liar_draws = 0
         if liar_limit > 0:
-            cdf = self._cdfs[1] if requester_is_liar else self._cdfs[0]
+            cdf = self._cdfs.get(liar_limit)
+            if cdf is None:
+                cdf = self._cdfs[liar_limit] = hypergeom_cdf(
+                    self.size - 1, liar_limit, self.config.reach)
             liar_draws = draw_hypergeom(cdf, (next(draws) >> 11) * RANDOM_SCALE)
 
         # Partial Fisher-Yates: swap i with ks[i] = i + a draw below liar_limit
@@ -433,33 +443,15 @@ class Simulation:
         prefix = derive_seed(config.rng_seed, "round")
         successes = failures = 0
         for draws in round_draws(prefix, self.round_index, config.queries_per_cycle):
-            record = self.run_round(self.draw_round(draws))
+            record = self.run_round(self.population.draw_round(draws))
             if record.outcome is Outcome.SUCCESS:
                 successes += 1
             elif record.outcome is Outcome.FAILURE:
                 failures += 1
         return self._metrics_row(cycle, successes, failures)
 
-    def draw_round(self, draws: Iterator[int]) -> tuple[int, int, list[int], int, int]:
-        """The requester, the file, the volunteers and the two selection
-        draws of a round, taken in order from ``draws``, the round's stream
-        outputs; reads no trust.  ``run_round`` applies them."""
-        population = self.population
-        requester_id = (next(draws) * population.size) >> 64  # a draw below size
-        holdings = population.holdings
-        lo = requester_id * population.holdings_size
-        hi = lo + population.holdings_size
-        catalog = self.config.catalog_size
-        for u in draws:
-            file_id = (u * catalog) >> 64  # a draw below catalog
-            i = bisect_left(holdings, file_id, lo, hi)  # the requester's files are sorted
-            if i == hi or holdings[i] != file_id:  # not held
-                break
-        volunteers = population.volunteers(draws, requester_id, file_id)
-        return requester_id, file_id, volunteers, next(draws), next(draws)
-
     def run_round(self, drawn: tuple[int, int, list[int], int, int]) -> RoundRecord:
-        """Apply the next round: ``drawn`` is what ``draw_round`` drew for it."""
+        """Apply the next round, ``drawn`` by ``Population.draw_round``."""
         config = self.config
         population = self.population
         ledger = self.ledger
@@ -469,17 +461,12 @@ class Simulation:
 
         requester_id, file_id, volunteers, mode_draw, pick_draw = drawn
         if not volunteers:
-            return RoundRecord(
-                round_index, requester_id, file_id, (), Gate.NO_VOLUNTEERS,
-                None, None, None, 0.0,
-            )
+            return RoundRecord(round_index, requester_id, file_id, (), Gate.NO_VOLUNTEERS)
 
         if scores[requester_id] < config.threshold:
             ledger.credit_many(volunteers, round_index, EventKind.VOLUNTEER_CREDIT)
             return RoundRecord(
-                round_index, requester_id, file_id, tuple(volunteers),
-                Gate.REPUTATION_ONLY, None, None, None, 0.0,
-            )
+                round_index, requester_id, file_id, tuple(volunteers), Gate.REPUTATION_ONLY)
 
         selected, mode = select_server(volunteers, scores, config.p, mode_draw, pick_draw)
         if population.behaviors[selected] is Behavior.GOOD_SERVER:

@@ -131,11 +131,13 @@ def recommended_penalty(j: int, p: float, margin: float = 0.1) -> float:
 
     The bounds are strict infima: at the bound itself the liar's expected
     per-round change is exactly zero, which defeats the mechanism, so
-    deployments must sit strictly above it.
+    deployments must sit strictly above it.  Raises ``ValueError`` unless the
+    penalty is finite and above it (never so for a bound of 0: j = 1, p = 0).
     """
-    penalty = (1.0 + margin) * penalty_bound_descending(j, p)
-    if not (margin > 0.0 and math.isfinite(penalty)):  # rejects NaN too
-        raise ValueError("margin must be > 0 and give a finite penalty")
+    bound = penalty_bound_descending(j, p)
+    penalty = (1.0 + margin) * bound
+    if not bound < penalty < math.inf:  # rejects NaN too
+        raise ValueError("margin must give a finite penalty strictly above the bound")
     return penalty
 
 
@@ -245,6 +247,9 @@ def check_p(p: float) -> None:
 
 
 def check_streak(streak: int) -> None:
+    # An int, so that the oracles' loops and the closed form's power agree.
+    if type(streak) is not int:  # bool too
+        raise ValueError(f"streak must be an integer, got {streak!r}")
     if streak < 0:
         raise ValueError("streak must be >= 0")
 

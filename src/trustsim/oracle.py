@@ -44,8 +44,7 @@ def mc_liar_payoff(p: float, penalty: float, j: int, trials: int, seed: int = 0)
     check_j(j)
     check_p(p)
     check_penalty(penalty)
-    if trials < _MIN_TRIALS:
-        raise ValueError(f"trials must be >= {_MIN_TRIALS}")
+    _check_run(trials, seed)
     draw = u64_stream(derive_seed(seed, "mc-liar-payoff"), _BLOCK).__next__
     by_trust, picked = random_bound(p), zero_bound(j)
     credited = 0
@@ -65,8 +64,7 @@ def mc_escape_frequency(j: int, p: float, streak: int, trials: int, seed: int = 
     check_j(j)
     check_p(p)
     check_streak(streak)
-    if trials < _MIN_TRIALS:
-        raise ValueError(f"trials must be >= {_MIN_TRIALS}")
+    _check_run(trials, seed)
     draw = u64_stream(derive_seed(seed, "mc-escape"), _BLOCK).__next__
     by_trust, picked = random_bound(p), zero_bound(j)
     survived = 0
@@ -110,6 +108,14 @@ def enumerate_escape_probability(j: int, p: float, streak: int) -> float:
 
     walk(0, 1.0)
     return math.fsum(leaves)
+
+
+def _check_run(trials: int, seed: int) -> None:
+    if trials < _MIN_TRIALS:
+        raise ValueError(f"trials must be >= {_MIN_TRIALS}")
+    if not 0 <= seed < 2**64:
+        # Streams use a seed modulo 2**64: any other integer aliases one.
+        raise ValueError("seed must be within [0, 2**64)")
 
 
 def within_sigmas(expected: float, result: McResult, sigmas: float = 4.0) -> bool:

@@ -63,7 +63,7 @@ def play_round(sim, requester):
     from its start."""
     first = -(-(requester << 64) // sim.population.size)
     stream = Stream.from_path(sim.config.rng_seed, "round", sim.round_index)
-    return sim.run_round(sim.draw_round(chain([first], iter(stream.next_u64, None))))
+    return sim.run_round(sim.population.draw_round(chain([first], iter(stream.next_u64, None))))
 
 
 class Event(NamedTuple):

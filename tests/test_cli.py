@@ -76,7 +76,7 @@ def test_analyze_usage_error():
     assert run_cli("analyze", "--n", "100") == 2
 
 
-@pytest.mark.parametrize("margin", ["nan", "inf", "1e308"])
+@pytest.mark.parametrize("margin", ["nan", "inf", "1e308", "1e-16"])
 def test_analyze_rejects_a_margin_without_a_finite_penalty(capsys, margin):
     assert run_cli("analyze", "--n", "100", "--j", "30", "--p", "0.9", "--margin", margin) == 2
     captured = capsys.readouterr()

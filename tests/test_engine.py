@@ -524,27 +524,65 @@ def test_file_redraw_at_the_holdings_edges():
                     scalar_volunteers(sim.population, stream, requester, file_id),
                     stream.next_u64(), stream.next_u64())
         remaining = iter(draws)
-        assert sim.draw_round(remaining) == expected, (first, file_draws)
+        assert sim.population.draw_round(remaining) == expected, (first, file_draws)
         assert next(remaining) == stream.next_u64()  # the same draws were used
 
 
 def test_draw_round_reads_no_trust():
-    """A cycle's rounds drawn with no ledger at all are the rounds that
-    ``run_cycle`` then applies, after trust has moved."""
-    sim = Simulation(small_config(threshold=2.0, queries_per_cycle=30))
+    """Rounds drawn from a population built on its own, with no simulation
+    and no ledger, given the same newcomers at the same cycles, are the
+    rounds a simulation applies while its trust moves, across injections."""
+    config = small_config(threshold=2.0, queries_per_cycle=30, total_cycles=6, newcomers=(
+        Injection(4, 2, Behavior.GOOD_SERVER), Injection(2, 3, Behavior.LIAR)))
+    sim = Simulation(config)
+    applied, gates = [], set()
+    apply = sim.run_round
+
+    def run_round(drawn_round):
+        applied.append(drawn_round)
+        record = apply(drawn_round)
+        gates.add(record.gate)
+        return record
+
+    sim.run_round = run_round
+    population = build_population(config)
+    prefix = derive_seed(config.rng_seed, "round")
+    drawn = []
+    for cycle in range(config.total_cycles):
+        for injection in config.newcomers:
+            if injection.cycle == cycle:
+                population.add_peers(injection.behavior, injection.count)
+        drawn += [population.draw_round(draws) for draws in
+                  round_draws(prefix, cycle * config.queries_per_cycle, config.queries_per_cycle)]
+        sim.run_cycle(cycle)
+    assert population.size == sim.population.size == 17
+    assert len(applied) == len(drawn) == config.total_cycles * config.queries_per_cycle
+    assert applied == drawn  # requester, file, volunteers and the selection draws
+    assert gates == set(Gate)  # trust moved: requesters below and above the threshold
+
+
+def test_liar_count_cdfs_are_built_once_per_liar_count(monkeypatch):
+    """Each liar-count CDF is built on first use, at most once between
+    population changes, and built again after an injection."""
+    calls = []
+    build = engine.hypergeom_cdf
+
+    def counted(total, tagged, draws):
+        calls.append((total, tagged, draws))
+        return build(total, tagged, draws)
+
+    monkeypatch.setattr(engine, "hypergeom_cdf", counted)  # as perfbench/spans.py does
+    config = small_config(queries_per_cycle=40, total_cycles=4,
+                          newcomers=(Injection(2, 2, Behavior.GOOD_SERVER),))
+    sim = Simulation(config)
+    liars, reach = config.liar_founders, config.reach
     for cycle in range(2):
         sim.run_cycle(cycle)
-    config = sim.config
-    prefix = derive_seed(config.rng_seed, "round")
-    ledger, sim.ledger = sim.ledger, None
-    drawn = [sim.draw_round(draws)
-             for draws in round_draws(prefix, sim.round_index, config.queries_per_cycle)]
-    sim.ledger = ledger
-    applied = []
-    apply = sim.run_round
-    sim.run_round = lambda drawn_round: applied.append(drawn_round) or apply(drawn_round)
-    sim.run_cycle(2)
-    assert applied == drawn
+    # A truthful requester leaves every liar in the pool, a liar one fewer.
+    assert sorted(calls) == [(11, liars - 1, reach), (11, liars, reach)]
+    for cycle in range(2, 4):
+        sim.run_cycle(cycle)
+    assert sorted(calls[2:]) == [(13, liars - 1, reach), (13, liars, reach)]
 
 
 # --- volunteer sampling ---
@@ -1117,7 +1155,7 @@ def test_newcomer_liars_join_pool_but_not_founder_curves():
     cfg = small_config(total_cycles=4, newcomers=(Injection(1, 3, Behavior.LIAR),))
     sim = Simulation(cfg)
     series = sim.run()
-    assert sim.population.liar_count == 5
+    assert len(sim.population.liar_pool) == 5
     assert sim.population.liar_pool[2:] == [12, 13, 14]  # ids follow the founders
     assert sim.population.newcomer_good_ids == []
     # The liar curve averages the founder liars 10 and 11 only.

@@ -86,10 +86,13 @@ def test_bounds_reject_pure_trust_selection():
 def test_recommended_penalty_adds_margin():
     assert recommended_penalty(30, 0.9) == pytest.approx(1.1 * 299.0)
     assert recommended_penalty(30, 0.9, margin=0.5) == pytest.approx(1.5 * 299.0)
-    # Not above 0, or a penalty that is not finite: 1e308 overflows to inf.
-    for margin in (0.0, math.nan, math.inf, 1e308):
+    # Not above 0, or a penalty that is not finite: 1e308 overflows to inf;
+    # 1e-16 leaves the bound itself, as 1 + 1e-16 == 1.
+    for margin in (0.0, math.nan, math.inf, 1e308, 1e-16):
         with pytest.raises(ValueError, match="margin"):
             recommended_penalty(30, 0.9, margin=margin)
+    with pytest.raises(ValueError, match="margin"):
+        recommended_penalty(1, 0.0)  # a bound of 0 stays 0 under any margin
 
 
 def test_lying_is_dominated_boundary():
@@ -228,6 +231,9 @@ def test_non_integer_j_rejected(j):
     ):
         with pytest.raises(ValueError, match="j must be an integer"):
             call()
+    # The same values as a streak: 2.5 used to give a fractional power.
+    with pytest.raises(ValueError, match="streak must be an integer"):
+        escape_probability(30, 0.9, j)
 
 
 def test_game_params_validation():

@@ -148,6 +148,18 @@ def test_mc_validates_inputs():
         mc_escape_frequency(3, 0.5, -1, trials=2000)
     with pytest.raises(ValueError):
         mc_escape_frequency(3, 0.5, 2, trials=10)
+    # 2.5 used to end in a RecursionError, a TypeError and a fractional power.
+    for streak in (2.5, True):
+        with pytest.raises(ValueError, match="streak must be an integer"):
+            mc_escape_frequency(3, 0.5, streak, trials=2000)
+        with pytest.raises(ValueError, match="streak must be an integer"):
+            enumerate_escape_probability(3, 0.5, streak)
+    # Seeds alias modulo 2**64: -1 used to give seed 2**64 - 1's estimate.
+    for seed in (-1, 2**64, 2**64 + 1):
+        with pytest.raises(ValueError, match="seed must be within"):
+            mc_liar_payoff(0.9, 10.0, 3, trials=2000, seed=seed)
+        with pytest.raises(ValueError, match="seed must be within"):
+            mc_escape_frequency(3, 0.5, 2, trials=2000, seed=seed)
 
 
 def test_enumerate_escape_probability_values():
