@@ -63,6 +63,9 @@ MAX_DRAW_RANGE = 2**32
 # The smallest unsigned array typecode that holds every file id and every
 # peer id (both below MAX_DRAW_RANGE): 4 bytes on common platforms.
 HOLDINGS_TYPECODE = next(code for code in "IL" if array(code).itemsize >= 4)
+# The types a SimConfig field takes, by its annotation; a bool is neither.
+_FIELD_TYPES = {"int": ((int,), "an integer"), "int | None": ((int, type(None)), "an integer"),
+                "float": ((int, float), "a number")}
 
 
 class ConfigError(ValueError):
@@ -141,6 +144,17 @@ class SimConfig:
         """Check invariants and resolve the defaulted fields, so every
         ``SimConfig`` is the fully concrete config a run uses; raises
         ``ConfigError`` naming the offending key."""
+        for field in dataclasses.fields(self):
+            if field.type in _FIELD_TYPES:
+                types, kind = _FIELD_TYPES[field.type]
+                value = getattr(self, field.name)
+                if type(value) not in types:
+                    raise ConfigError(field.name, f"must be {kind}, got {value!r}")
+        for injection in self.newcomers:
+            if type(injection.cycle) is not int or type(injection.count) is not int:
+                raise ConfigError("newcomers", f"cycle and count must be integers in {injection}")
+            if not isinstance(injection.behavior, Behavior):
+                raise ConfigError("newcomers", f"behavior must be a Behavior in {injection}")
         for key in ("good_founders", "bad_founders", "liar_founders"):
             if getattr(self, key) < 0:
                 raise ConfigError(key, "must be >= 0")

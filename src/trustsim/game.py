@@ -229,6 +229,9 @@ def recommend_threshold(j: int, p: float, epsilon: float) -> int:
 
 
 def check_n(n: int) -> None:
+    # A count, as a SimConfig takes it.
+    if type(n) is not int:  # bool too
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
 

@@ -3,20 +3,26 @@
 These estimators simulate the selection process event by event.  They
 share only the input checks with :mod:`trustsim.game` and none of its
 arithmetic; an estimator that reused the formula could not catch a sign or
-scale error in it.
+scale error in it.  The Monte-Carlo estimators scan their stream's bytes
+and jump over the draws that settle a round at once, but the scan still
+decides every round from its own draws, as one draw at a time would, and
+shares no arithmetic with :mod:`trustsim.game` either.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 from .game import check_j, check_p, check_penalty, check_streak
-from .rng import derive_seed, random_bound, u64_stream, zero_bound
+from .rng import byte_blocks, derive_seed, random_bound, zero_bound
 
 _MIN_TRIALS = 1000
 _MAX_ENUM_STREAK = 20
-_BLOCK = 256
+_BLOCK = 512
+# The output at a byte offset of a block of byte_blocks.
+_WORD = struct.Struct("<Q").unpack_from
 
 
 @dataclass(frozen=True)
@@ -45,13 +51,9 @@ def mc_liar_payoff(p: float, penalty: float, j: int, trials: int, seed: int = 0)
     check_p(p)
     check_penalty(penalty)
     _check_run(trials, seed)
-    draw = u64_stream(derive_seed(seed, "mc-liar-payoff"), _BLOCK).__next__
-    by_trust, picked = random_bound(p), zero_bound(j)
-    credited = 0
-    for _ in range(trials):
-        # stream.random() < p or a draw below j is not 0, as integer bounds
-        if draw() < by_trust or draw() >= picked:
-            credited += 1
+    # A liar is credited exactly when its one round passes.
+    state = derive_seed(seed, "mc-liar-payoff")
+    credited = _survivals(state, random_bound(p), zero_bound(j), 1, trials)
     penalized = trials - credited
     mean = (credited - penalty * penalized) / trials
     ss = credited * (1.0 - mean) ** 2 + penalized * (-penalty - mean) ** 2
@@ -65,19 +67,66 @@ def mc_escape_frequency(j: int, p: float, streak: int, trials: int, seed: int = 
     check_p(p)
     check_streak(streak)
     _check_run(trials, seed)
-    draw = u64_stream(derive_seed(seed, "mc-escape"), _BLOCK).__next__
-    by_trust, picked = random_bound(p), zero_bound(j)
-    survived = 0
-    for _ in range(trials):
-        for _ in range(streak):
-            # stream.random() >= p and a draw below j is 0, as integer bounds
-            if draw() >= by_trust and draw() < picked:
-                break
-        else:
-            survived += 1
+    state = derive_seed(seed, "mc-escape")
+    survived = _survivals(state, random_bound(p), zero_bound(j), streak, trials)
     freq = survived / trials
     ss = survived * (1.0 - freq) ** 2 + (trials - survived) * freq**2
     return McResult(mean=freq, std_error=math.sqrt(ss / (trials - 1) / trials), trials=trials)
+
+
+def _survivals(state: int, by_trust: int, picked: int, streak: int, trials: int) -> int:
+    """The number of ``trials`` whose ``streak`` rounds all pass, the rounds
+    drawn in turn from the outputs of ``Stream(state)``.
+
+    A round passes when its first draw is below ``by_trust`` (selection by
+    trust: ``random() < p``), or when it is not and the next draw, the
+    pick, is at least ``picked`` (the pick missed the liar: a draw below j
+    is not 0).  A failed round ends its trial.  Each block's top bytes are
+    marked where the draw may reach ``by_trust``, and ``find`` jumps over
+    the unmarked draws: each is a whole passing round.  A marked draw and
+    its pick are decided by their top bytes, and by their ints only when a
+    top byte ties with the bound's.
+    """
+    if streak == 0:
+        return trials
+    blocks = byte_blocks(state, _BLOCK)
+    top, low = by_trust >> 56, picked >> 56
+    table = bytes(byte >= top for byte in range(256))
+    buf = marks = b""
+    pos = rounds = done = survived = 0  # next draw; passed rounds of the open trial
+    while True:
+        mark = marks.find(1, pos)
+        rounds += (len(marks) if mark < 0 else mark) - pos
+        if rounds >= streak:
+            whole, rounds = divmod(rounds, streak)
+            done += whole
+            survived += whole
+            if done >= trials:
+                return survived - (done - trials)
+        if mark < 0:
+            buf = next(blocks)
+            marks = buf[7::16].translate(table)
+            pos = 0
+            continue
+        at = 16 * mark
+        if buf[at + 7] == top and _WORD(buf, at)[0] < by_trust:
+            pos = mark + 1
+            rounds += 1
+            continue
+        pos = mark + 2
+        if pos > _BLOCK:  # the pick opens the next block
+            buf = next(blocks)
+            marks = buf[7::16].translate(table)
+            pos = 1
+        at = 16 * pos - 16
+        pick = buf[at + 7]
+        if pick > low or pick == low and _WORD(buf, at)[0] >= picked:
+            rounds += 1
+        else:
+            rounds = 0
+            done += 1
+            if done == trials:
+                return survived
 
 
 def enumerate_escape_probability(j: int, p: float, streak: int) -> float:
@@ -111,6 +160,9 @@ def enumerate_escape_probability(j: int, p: float, streak: int) -> float:
 
 
 def _check_run(trials: int, seed: int) -> None:
+    for key, value in (("trials", trials), ("seed", seed)):
+        if type(value) is not int:  # bool too
+            raise ValueError(f"{key} must be an integer, got {value!r}")
     if trials < _MIN_TRIALS:
         raise ValueError(f"trials must be >= {_MIN_TRIALS}")
     if not 0 <= seed < 2**64:

@@ -31,20 +31,20 @@ scheme can be reimplemented exactly:
 * Skip rule: the state after ``k`` draws is ``(state + k * GOLDEN) mod
   2**64``, and the ``k``-th output from ``state`` is ``mix64((state + k *
   GOLDEN) mod 2**64)``.
-* Block draws: ``u64_stream(state, block)`` iterates over the outputs of
-  ``Stream(state)``, each block of ``block`` outputs computed in one
-  Python int of exactly ``block`` lanes of 128 bits (at most
-  ``_MAX_LANES``; a wider block is made that many lanes at a time).  Lane
-  ``i`` (bits ``128*i`` and up) starts as ``state + (i + 1) * GOLDEN``:
-  the state times ``ONES`` (1 in every lane) plus ``STEPS`` (``(i + 1) *
-  GOLDEN mod 2**64`` in lane ``i``).  The finalizer then runs once over
-  the whole int.  Every lane is cut to its low 64 bits (``& MASK``, ones in
-  the low half of every lane) before each xor-shift and before and after
-  each multiply, so each product is below 2**128 and no carry or
-  shifted-in bit reaches the low half of another lane.  The last xor-shift
-  needs no cut, because only low halves are read.  The low 64 bits of lane
-  ``i`` are output ``i``, read back from ``int.to_bytes`` as little-endian
-  words, every second word.
+* Block draws: ``byte_blocks(state, width)`` yields the outputs of
+  ``Stream(state)`` ``width`` at a time, each block the bytes of one Python
+  int of exactly ``width`` lanes of 128 bits.  Lane ``i`` (bits ``128*i``
+  and up) starts as ``state + (i + 1) * GOLDEN``: the state times ``ONES``
+  (1 in every lane) plus ``STEPS`` (``(i + 1) * GOLDEN mod 2**64`` in lane
+  ``i``).  The finalizer then runs once over the whole int.  Every lane is
+  cut to its low 64 bits (``& MASK``, ones in the low half of every lane)
+  before each xor-shift and before and after each multiply, so each
+  product is below 2**128 and no carry or shifted-in bit reaches the low
+  half of another lane.  The last xor-shift needs no cut, because only low
+  halves are read.  The block is ``int.to_bytes`` of the result: output
+  ``i`` is the little-endian word at byte ``16 * i``, and its top byte is
+  byte ``16 * i + 7``.  ``_blocks`` unpacks the same bytes into ints, one
+  tuple per block.
 * Round draws: ``round_draws(prefix, start, count, width, tail)`` gives
   one iterator over the outputs of each path ``(*path, start + i)``, ``i <
   count``, ``BLOCK_GROUP`` paths per pass.  For ``prefix =
@@ -78,7 +78,7 @@ from itertools import chain
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-# The widest lane int u64_stream computes (an 8 KB int).
+# The widest tail block round_draws computes (an 8 KB int).
 _MAX_LANES = 512
 # round_draws: outputs per state and states per pass.  A desk round uses
 # about 50 draws, and 64 cover 98.5% of desk rounds.  A pass of 16 states
@@ -200,26 +200,22 @@ def round_draws(prefix: int, start: int, count: int, width: int = BLOCK_WIDTH,
 def _continued(first: tuple[int, ...], state: int, width: int) -> Iterator[tuple[int, ...]]:
     """``first``, then the blocks of ``Stream(state)``, made only when reached."""
     yield first
-    yield from _blocks(state & _MASK64, width)
+    yield from _blocks(state, width)
 
 
-def u64_stream(state: int, block: int) -> Iterator[int]:
-    """The outputs of ``Stream(state)``, computed ``block`` at a time (at
-    most ``_MAX_LANES``), each block when the iterator reaches it (see the
-    module docstring)."""
-    if block < 1:
-        raise ValueError("u64_stream requires block >= 1")
-    return chain.from_iterable(_blocks(state & _MASK64, min(block, _MAX_LANES)))
+def byte_blocks(state: int, width: int) -> Iterator[bytes]:
+    """The outputs of ``Stream(state)`` in blocks of ``width`` lanes, each
+    block the bytes of its lane int (see the module docstring)."""
+    _, ones, steps, mask = _lanes(width)
+    state &= _MASK64
+    while True:
+        yield _mix_lanes((state * ones + steps) & mask, mask).to_bytes(16 * width, "little")
+        state = (state + width * _GOLDEN) & _MASK64
 
 
 def _blocks(state: int, width: int) -> Iterator[tuple[int, ...]]:
     """The outputs of ``Stream(state)`` in blocks of ``width`` lanes."""
-    reader, ones, steps, mask = _lanes(width)
-    skip = width * _GOLDEN
-    while True:
-        z = _mix_lanes((state * ones + steps) & mask, mask)
-        yield reader.unpack(z.to_bytes(reader.size, "little"))
-        state = (state + skip) & _MASK64
+    return map(_lanes(width)[0].unpack, byte_blocks(state, width))
 
 
 class Stream:

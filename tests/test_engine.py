@@ -110,6 +110,16 @@ def test_config_validation_names_offending_key():
         (dict(newcomers=(Injection(1, 2**32 - 12, Behavior.GOOD_SERVER),)), "newcomers"),
         (dict(newcomers=(Injection(1, 2**31, Behavior.GOOD_SERVER),
                          Injection(2, 2**31, Behavior.LIAR))), "newcomers"),
+        # Each count must be an int, and a bool is not one, nor a number.
+        (dict(good_founders=40.5), "good_founders"),  # resolved reach to 49.5
+        (dict(n=10.5), "n"),
+        (dict(rng_seed=1.5), "rng_seed"),
+        (dict(p=True), "p"),
+        (dict(total_cycles=2.5), "total_cycles"),  # failed deep in the run
+        (dict(queries_per_cycle=2.5), "queries_per_cycle"),
+        (dict(reach=2.5), "reach"),
+        (dict(newcomers=(Injection(1, 2.5, Behavior.GOOD_SERVER),)), "newcomers"),
+        (dict(newcomers=(Injection(1, 2, "good"),)), "newcomers"),  # an AttributeError
     ]
     for overrides, key in cases:
         with pytest.raises(ConfigError) as err:

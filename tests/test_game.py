@@ -236,6 +236,14 @@ def test_non_integer_j_rejected(j):
         escape_probability(30, 0.9, j)
 
 
+@pytest.mark.parametrize("n", [2.5, 100.0, True, "100", None])
+def test_non_integer_n_rejected(n):
+    # A fractional n used to give a bound (179.00000000000003 for 2.5).
+    for call in (lambda: penalty_bound_dominance(n, 30, 0.9), lambda: make_params(n=n)):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            call()
+
+
 def test_game_params_validation():
     with pytest.raises(ValueError):
         make_params(reward=1.0, cost=1.0)  # reward must exceed cost

@@ -51,9 +51,10 @@ def scalar_escape_frequency(stream, j, p, streak, trials):
 def test_estimators_make_the_scalar_draws(seed):
     """The estimators compare block draws with integer bounds; a trial must
     still see exactly the draws, and make the decisions, that stream.random()
-    and randbelow(stream, j) would give it, at the ends of p and j too."""
+    and randbelow(stream, j) would give it, at the ends of p and j too.  At
+    j = 2**32 - 1 every pick whose top byte is 0 ties with the bound's."""
     penalty, streak, trials = 10.0, 4, 3000
-    for p, j in ((0.7, 5), (0.0, 5), (1.0, 5), (0.7, 1)):
+    for p, j in ((0.7, 5), (0.0, 5), (1.0, 5), (0.7, 1), (0.7, 2**32 - 1)):
         stream = Stream.from_path(seed, "mc-liar-payoff")
         expected = scalar_liar_payoff(stream, p, penalty, j, trials)
         assert mc_liar_payoff(p, penalty, j, trials, seed).mean == expected
@@ -62,19 +63,74 @@ def test_estimators_make_the_scalar_draws(seed):
         assert mc_escape_frequency(j, p, streak, trials, seed).mean == expected
 
 
+def byte_source(draws):
+    """A stand-in for ``rng.byte_blocks`` whose outputs are ``draws``, in
+    blocks of the estimators' width laid out as the lane bytes are: each
+    output the low word of a 16-byte lane.  The high words, which no reader
+    may use, are all ones."""
+    width = oracle._BLOCK
+    assert len(draws) % width == 0
+    lanes = [u.to_bytes(8, "little") + b"\xff" * 8 for u in draws]
+
+    def blocks(state, block):
+        assert block == width
+        return (b"".join(lanes[i:i + width]) for i in range(0, len(lanes), width))
+
+    return blocks
+
+
+def check_crafted(monkeypatch, draws, p, j, streak, trials, penalty=10.0):
+    """Both estimators on ``draws`` decide as the scalar draws do."""
+    monkeypatch.setattr(oracle, "byte_blocks", byte_source(draws))
+    expected = scalar_liar_payoff(ListStream(draws), p, penalty, j, trials)
+    assert mc_liar_payoff(p, penalty, j, trials).mean == expected
+    expected = scalar_escape_frequency(ListStream(draws), j, p, streak, trials)
+    assert mc_escape_frequency(j, p, streak, trials).mean == expected
+
+
+def padded(draws, count):
+    """``draws``, then the outputs 0 up to ``count`` outputs in all."""
+    return draws + [0] * (count - len(draws))
+
+
 def test_estimators_decide_at_the_bounds_as_the_scalar_draws(monkeypatch):
     """Draws one below and at each integer bound, which a random stream
     almost never gives: each must be decided as the float and multiply-shift
-    forms decide it."""
-    penalty, streak, trials = 10.0, 4, 1000
-    for p, j in ((0.7, 5), (0.9, 30), (2**-53, 3)):
+    forms decide it.  The two share the bound's top byte, so each is a tie
+    the scan settles by its int."""
+    streak, trials = 4, 1000
+    count = -(-2 * streak * trials // oracle._BLOCK) * oracle._BLOCK
+    for p, j in ((0.7, 5), (0.9, 30), (2**-53, 3), (0.9, 2**32 - 1)):
         edges = [b + d for b in (random_bound(p), zero_bound(j)) for d in (-1, 0)]
-        draws = random.Random(j).choices(edges, k=2 * streak * trials)
-        monkeypatch.setattr(oracle, "u64_stream", lambda state, block: iter(draws))
-        expected = scalar_liar_payoff(ListStream(draws), p, penalty, j, trials)
-        assert mc_liar_payoff(p, penalty, j, trials).mean == expected
-        expected = scalar_escape_frequency(ListStream(draws), j, p, streak, trials)
-        assert mc_escape_frequency(j, p, streak, trials).mean == expected
+        assert len({u >> 56 for u in edges[:2]}) == len({u >> 56 for u in edges[2:]}) == 1
+        check_crafted(monkeypatch, random.Random(j).choices(edges, k=count), p, j, streak, trials)
+
+
+def test_estimators_decide_block_ends_as_the_scalar_draws(monkeypatch):
+    """Rounds that straddle two blocks: a pick that is the first output of
+    the next block, passing and failing, and runs of marked draws at a
+    block's end, whose picks and rounds alternate across the boundary."""
+    block, top, streak, trials = oracle._BLOCK, 2**64 - 1, 3, 1000
+    p, j = 0.9, 30
+    count = 2 * streak * trials + block
+    count -= count % block
+    miss, hit = top, 0  # a pick that misses the liar, and one that finds it
+    for tail in ([top], [top] * 2, [top] * 5, [top, hit, top, miss, top]):
+        for pick in (miss, hit):
+            for shift in (0, 1):
+                draws = [0] * (block - len(tail) - shift) + tail + [pick] + [top] * 3
+                check_crafted(monkeypatch, padded(draws, count), p, j, streak, trials)
+
+
+def test_estimators_stop_inside_a_gap(monkeypatch):
+    """Draws that all pass by trust: the trial limit falls in the middle of
+    a gap (output 1000 of the liar's stream, 4000 of the escape's), and the
+    trials the gap holds past it are not counted."""
+    count = 8 * oracle._BLOCK
+    assert 1000 % oracle._BLOCK and 4000 % oracle._BLOCK
+    check_crafted(monkeypatch, [0] * count, 0.9, 30, 4, 1000)
+    # A failed round first: the next trial's rounds count from the draw after its pick.
+    check_crafted(monkeypatch, padded([2**64 - 1, 0, 5, 7], count), 0.9, 30, 4, 1000)
 
 
 def test_mc_liar_payoff_pure_trust_is_exact():
@@ -154,6 +210,17 @@ def test_mc_validates_inputs():
             mc_escape_frequency(3, 0.5, streak, trials=2000)
         with pytest.raises(ValueError, match="streak must be an integer"):
             enumerate_escape_probability(3, 0.5, streak)
+    # 2000.0 and 1e4 used to end in a TypeError from range, 1.5 in one from mix64.
+    for trials in (2000.0, 1e4, True):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            mc_liar_payoff(0.9, 10.0, 3, trials=trials)
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            mc_escape_frequency(3, 0.5, 2, trials=trials)
+    for seed in (1.5, 2.0, True):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            mc_liar_payoff(0.9, 10.0, 3, trials=2000, seed=seed)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            mc_escape_frequency(3, 0.5, 2, trials=2000, seed=seed)
     # Seeds alias modulo 2**64: -1 used to give seed 2**64 - 1's estimate.
     for seed in (-1, 2**64, 2**64 + 1):
         with pytest.raises(ValueError, match="seed must be within"):

@@ -1,5 +1,5 @@
 import math
-from itertools import islice
+from itertools import chain, islice
 from math import comb
 
 import pytest
@@ -21,7 +21,6 @@ from trustsim.rng import (
     hypergeom_cdf,
     random_bound,
     round_draws,
-    u64_stream,
     zero_bound,
 )
 
@@ -100,11 +99,16 @@ def test_child_seed_is_one_derivation_step(master, path, index):
     assert child_seed(derive_seed(master, *path), index) == derive_seed(master, *path, index)
 
 
+def _flat(state: int, block: int):
+    """The outputs of ``Stream(state)`` from its blocks of ``block`` lanes."""
+    return chain.from_iterable(rng._blocks(state, block))
+
+
 def _check_block(state: int, block: int) -> None:
-    """u64_stream against the scalar generator, its specification, read
-    across three blocks and into a fourth, so the state carries over."""
+    """The block draws against the scalar generator, their specification,
+    read across three blocks and into a fourth, so the state carries over."""
     count = 3 * block + 5
-    assert list(islice(u64_stream(state, block), count)) == u64s(Stream(state), count)
+    assert list(islice(_flat(state, block), count)) == u64s(Stream(state), count)
 
 
 @settings(max_examples=300, deadline=None)
@@ -115,9 +119,9 @@ def test_block_draws_equal_scalar_draws(state, block):
 
 def test_block_draws_cover_every_lane_width():
     # The widths a run takes (the desk holdings size, BLOCK_WIDTH,
-    # TAIL_BLOCK, the oracles' 256), one lane either side of the widest
-    # int, and blocks made in more than one piece; states whose lanes wrap
-    # past 2**64, and one given above it, taken modulo 2**64.
+    # TAIL_BLOCK, the oracles' 512), one lane either side of the widest
+    # tail block, and wider ones; states whose lanes wrap past 2**64, and one
+    # given above it, taken modulo 2**64.
     blocks = {1, 2, holdings_size(1000, 100), 63, BLOCK_WIDTH, TAIL_BLOCK, 256,
               _MAX_LANES - 1, _MAX_LANES, _MAX_LANES + 1, 2 * _MAX_LANES, 2 * _MAX_LANES + 7}
     golden = 0x9E3779B97F4A7C15
@@ -134,9 +138,6 @@ def test_block_draws_cover_every_lane_width():
 
 def test_block_draws_reject_negative_counts():
     # A block of 0 would make no draws, and chain.from_iterable would spin.
-    for block in (0, -1):
-        with pytest.raises(ValueError):
-            u64_stream(1, block)
     for count, width, tail in ((-1, BLOCK_WIDTH, TAIL_BLOCK), (1, 0, TAIL_BLOCK), (1, 10, 0)):
         with pytest.raises(ValueError):
             next(round_draws(0, 0, count, width, tail))
@@ -175,7 +176,7 @@ def test_derived_states_equal_derive_seed(seed, start, count):
 @given(*ROUND_PATHS)
 def test_first_draws_equal_block_draws_per_state(seed, start, count):
     for draws, stream in _round_streams(seed, start, count):
-        first = u64_stream(stream._state, BLOCK_WIDTH)
+        first = _flat(stream._state, BLOCK_WIDTH)
         assert list(islice(draws, BLOCK_WIDTH)) == list(islice(first, BLOCK_WIDTH))
 
 
