@@ -19,9 +19,9 @@ import sys
 
 from . import game, oracle
 from .chart import write_chart
-from .engine import ConfigError, Simulation
+from .engine import ConfigError, Simulation, integer
 from .ledger import EventCsvSink
-from .runconfig import config_keys, integer, load_run_config
+from .runconfig import config_keys, load_run_config
 
 EXIT_OK = 0
 EXIT_FAIL = 1

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -52,7 +53,7 @@ from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .game import Selection
-from .ledger import EventKind, EventSink, LedgerConfig, TrustLedger
+from .ledger import EventKind, EventSink, TrustLedger
 from .rng import (BLOCK_WIDTH, RANDOM_SCALE, derive_seed, draw_hypergeom, hypergeom_cdf,
                   round_draws)
 
@@ -63,9 +64,6 @@ MAX_DRAW_RANGE = 2**32
 # The smallest unsigned array typecode that holds every file id and every
 # peer id (both below MAX_DRAW_RANGE): 4 bytes on common platforms.
 HOLDINGS_TYPECODE = next(code for code in "IL" if array(code).itemsize >= 4)
-# The types a SimConfig field takes, by its annotation; a bool is neither.
-_FIELD_TYPES = {"int": ((int,), "an integer"), "int | None": ((int, type(None)), "an integer"),
-                "float": ((int, float), "a number")}
 
 
 class ConfigError(ValueError):
@@ -119,6 +117,37 @@ class Injection:
     behavior: Behavior
 
 
+def parse_injections(text: str) -> tuple[Injection, ...]:
+    """Parse ``cycle:count:behavior[,cycle:count:behavior...]``."""
+    items = []
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        parts = chunk.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"bad newcomer entry {chunk!r} (want cycle:count:behavior)")
+        items.append(Injection(int(parts[0]), int(parts[1]), Behavior.parse(parts[2])))
+    return tuple(items)
+
+
+def integer(text: str) -> int:
+    """An integer that fits a float, as the checks and closed forms compute in floats."""
+    if abs(value := int(text)) > sys.float_info.max:
+        raise ValueError(f"expected an integer within ±{sys.float_info.max:.1e}")
+    return value
+
+
+# By SimConfig annotation (a string, as annotations are postponed): the config-file
+# parser, the types a value may take (a bool is none) and their name in messages.
+FIELD_TYPES = {
+    "int": (integer, (int,), "an integer"),
+    "int | None": (integer, (int, type(None)), "an integer"),
+    "float": (float, (int, float), "a number"),
+    "tuple[Injection, ...]": (parse_injections, (tuple,), "a tuple of Injection"),
+}
+
+
 @dataclass(frozen=True)
 class SimConfig:
     good_founders: int
@@ -144,12 +173,10 @@ class SimConfig:
         """Check invariants and resolve the defaulted fields, so every
         ``SimConfig`` is the fully concrete config a run uses; raises
         ``ConfigError`` naming the offending key."""
-        for field in dataclasses.fields(self):
-            if field.type in _FIELD_TYPES:
-                types, kind = _FIELD_TYPES[field.type]
-                value = getattr(self, field.name)
-                if type(value) not in types:
-                    raise ConfigError(field.name, f"must be {kind}, got {value!r}")
+        for name, (_, types, kind) in _SIM_FIELDS:
+            value = getattr(self, name)
+            if type(value) not in types:
+                raise ConfigError(name, f"must be {kind}, got {value!r}")
         for injection in self.newcomers:
             if type(injection.cycle) is not int or type(injection.count) is not int:
                 raise ConfigError("newcomers", f"cycle and count must be integers in {injection}")
@@ -172,9 +199,9 @@ class SimConfig:
             raise ConfigError(
                 "n", "peers would hold the entire catalog; nothing left to request"
             )
-        for key in ("p", "penalty", "threshold", "floor"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(key, "must be a finite number")
+        for name, (_, types, _) in _SIM_FIELDS:
+            if float in types and not math.isfinite(getattr(self, name)):
+                raise ConfigError(name, "must be a finite number")
         if not 0.0 <= self.p <= 1.0:
             raise ConfigError("p", "must be within [0, 1]")
         if self.penalty <= 0.0:
@@ -213,6 +240,10 @@ class SimConfig:
             )
         object.__setattr__(self, "queries_per_cycle", queries)
         object.__setattr__(self, "reach", reach)
+
+
+# A field whose annotation has no FIELD_TYPES entry fails here, at import.
+_SIM_FIELDS = tuple((f.name, FIELD_TYPES[f.type]) for f in dataclasses.fields(SimConfig))
 
 
 def holdings_size(catalog_size: int, n: int) -> int:
@@ -437,9 +468,7 @@ class Simulation:
     def __init__(self, config: SimConfig, event_sink: EventSink | None = None):
         self.config = config
         self.population = build_population(config)
-        self.ledger = TrustLedger(
-            LedgerConfig(penalty=config.penalty, floor=config.floor), event_sink=event_sink
-        )
+        self.ledger = TrustLedger(config, event_sink=event_sink)
         for _ in range(self.population.size):
             self.ledger.register()
         self._pending = sorted(config.newcomers, key=lambda i: i.cycle)
@@ -618,16 +647,3 @@ class MetricsSeries:
         with open(path, "r", newline="") as fh:
             return cls.from_csv_text(fh.read())
 
-
-def parse_injections(text: str) -> tuple[Injection, ...]:
-    """Parse ``cycle:count:behavior[,cycle:count:behavior...]``."""
-    items = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"bad newcomer entry {chunk!r} (want cycle:count:behavior)")
-        items.append(Injection(int(parts[0]), int(parts[1]), Behavior.parse(parts[2])))
-    return tuple(items)

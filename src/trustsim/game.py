@@ -61,6 +61,9 @@ class GameParams:
         check_j(self.j)
         check_p(self.p)
         check_penalty(self.penalty)
+        for key in ("reward", "cost"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be a finite number")
         if self.cost <= 0.0:
             raise ValueError("cost must be > 0")
         if self.reward <= self.cost:
@@ -230,36 +233,45 @@ def recommend_threshold(j: int, p: float, epsilon: float) -> int:
 
 def check_n(n: int) -> None:
     # A count, as a SimConfig takes it.
-    if type(n) is not int:  # bool too
-        raise ValueError(f"n must be an integer, got {n!r}")
+    _require_int("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
 
 
 def check_j(j: int) -> None:
     # An int, so that the oracles' integer bound on a pick is exact.
-    if type(j) is not int:  # bool too
-        raise ValueError(f"j must be an integer, got {j!r}")
+    _require_int("j", j)
     if j < 1:
         raise ValueError("j must be >= 1")
 
 
 def check_p(p: float) -> None:
+    _require_real("p", p)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be within [0, 1]")
 
 
 def check_streak(streak: int) -> None:
     # An int, so that the oracles' loops and the closed form's power agree.
-    if type(streak) is not int:  # bool too
-        raise ValueError(f"streak must be an integer, got {streak!r}")
+    _require_int("streak", streak)
     if streak < 0:
         raise ValueError("streak must be >= 0")
 
 
 def check_penalty(penalty: float) -> None:
+    _require_real("penalty", penalty)
     if not 0.0 <= penalty < math.inf:  # rejects NaN too
         raise ValueError("penalty must be >= 0 and finite")
+
+
+def _require_int(key: str, value: int) -> None:
+    if type(value) is not int:  # bool too
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
+def _require_real(key: str, value: float) -> None:
+    if type(value) not in (int, float):  # bool too
+        raise ValueError(f"{key} must be a number, got {value!r}")
 
 
 def _undominated(payoffs: dict) -> list:

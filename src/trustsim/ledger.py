@@ -20,10 +20,11 @@ writes.  The simulation engine owns one ledger and serializes mutations.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+
+if TYPE_CHECKING:  # the engine imports this module
+    from .engine import SimConfig
 
 
 class UnknownPeerError(KeyError):
@@ -44,30 +45,18 @@ EventBatch = tuple[int, EventKind, float, Sequence[int], Sequence[float]]
 EventSink = Callable[[EventBatch], None]
 
 
-@dataclass(frozen=True)
-class LedgerConfig:
-    penalty: float
-    floor: float = 0.0
-
-    def __post_init__(self):
-        for name in ("penalty", "floor"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number")
-        if self.penalty <= 0.0:
-            raise ValueError("penalty must be > 0")
-
-
 class TrustLedger:
     """Single-writer trust scores.
 
     ``scores[peer_id]`` is the trust of the peer ``register`` gave that
     id; only the ledger writes it, everyone else reads it.  An id outside
     ``[0, len(scores))`` raises ``UnknownPeerError`` before any score
-    changes.  ``event_sink``, if given, receives one batch per ledger call
-    (see the module docstring).
+    changes.  ``config`` is the run's ``SimConfig``, which checks every
+    key; the ledger reads its ``penalty`` and ``floor``.  ``event_sink``,
+    if given, receives one batch per ledger call (see the module docstring).
     """
 
-    def __init__(self, config: LedgerConfig, event_sink: EventSink | None = None):
+    def __init__(self, config: SimConfig, event_sink: EventSink | None = None):
         self.config = config
         self.scores: list[float] = []
         self._event_sink = event_sink
@@ -134,11 +123,7 @@ class TrustLedger:
         return new_value
 
     @staticmethod
-    def replay(
-        batches: Iterable[EventBatch],
-        config: LedgerConfig,
-        peers: int,
-    ) -> list[float]:
+    def replay(batches: Iterable[EventBatch], config: SimConfig, peers: int) -> list[float]:
         """Fold a log of event batches under the update rule from the
         floor-initialized scores of ``peers`` peers; must reproduce the
         live scores exactly."""

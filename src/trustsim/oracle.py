@@ -15,7 +15,7 @@ import math
 import struct
 from dataclasses import dataclass
 
-from .game import check_j, check_p, check_penalty, check_streak
+from .game import _require_int, check_j, check_p, check_penalty, check_streak
 from .rng import byte_blocks, derive_seed, random_bound, zero_bound
 
 _MIN_TRIALS = 1000
@@ -160,9 +160,8 @@ def enumerate_escape_probability(j: int, p: float, streak: int) -> float:
 
 
 def _check_run(trials: int, seed: int) -> None:
-    for key, value in (("trials", trials), ("seed", seed)):
-        if type(value) is not int:  # bool too
-            raise ValueError(f"{key} must be an integer, got {value!r}")
+    _require_int("trials", trials)
+    _require_int("seed", seed)
     if trials < _MIN_TRIALS:
         raise ValueError(f"trials must be >= {_MIN_TRIALS}")
     if not 0 <= seed < 2**64:

@@ -1,9 +1,10 @@
 """Deterministic, splittable random streams.
 
-Every random decision in this package flows through a ``Stream`` derived
-from one 64-bit master seed, so that a run is fully reproducible from its
-seed and independent subsystems (population build, each query round, each
-Monte-Carlo validator) consume non-overlapping streams.
+Every random draw comes from a stream derived from one 64-bit master seed,
+so a run is reproducible from its seed and each subsystem (population
+build, each query round, each Monte-Carlo validator) has its own streams.
+The engine draws through ``round_draws``, the oracle through ``byte_blocks``;
+``Stream`` is the scalar reference, kept for the tests and for perfbench.
 
 The generator and the stream-derivation rule are spelled out here so the
 scheme can be reimplemented exactly:

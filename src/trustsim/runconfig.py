@@ -7,25 +7,11 @@ fields, parsed by their annotated types, plus the output paths.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import MISSING, dataclass, fields
 
-from .engine import ConfigError, SimConfig, parse_injections
+from .engine import FIELD_TYPES, ConfigError, SimConfig
 
-
-def integer(text: str) -> int:
-    """An integer that fits a float, as the checks and closed forms compute in floats."""
-    if abs(value := int(text)) > sys.float_info.max:
-        raise ValueError(f"expected an integer within ±{sys.float_info.max:.1e}")
-    return value
-
-
-# One parser per SimConfig annotation (a string, as annotations are
-# postponed); a field whose annotation has none here fails at import.
-_PARSERS = {
-    "int": integer, "int | None": integer, "float": float, "tuple[Injection, ...]": parse_injections,
-}
-_SIM_KEYS = {f.name: _PARSERS[f.type] for f in fields(SimConfig)}
+_SIM_KEYS = {f.name: FIELD_TYPES[f.type][0] for f in fields(SimConfig)}
 _PATH_KEYS = ("metrics_csv", "trace_csv")
 # Every SimConfig field without a default, then the metrics path.
 _REQUIRED = tuple(f.name for f in fields(SimConfig) if f.default is MISSING) + ("metrics_csv",)

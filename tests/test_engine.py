@@ -120,7 +120,16 @@ def test_config_validation_names_offending_key():
         (dict(reach=2.5), "reach"),
         (dict(newcomers=(Injection(1, 2.5, Behavior.GOOD_SERVER),)), "newcomers"),
         (dict(newcomers=(Injection(1, 2, "good"),)), "newcomers"),  # an AttributeError
+        (dict(newcomers=[Injection(1, 2, Behavior.GOOD_SERVER)]), "newcomers"),  # unhashable
     ]
+    # Every key by its annotation, so a new key is covered with no edit here.
+    kinds = {f.name: f.type.removesuffix(" | None") for f in dataclasses.fields(SimConfig)}
+    reals = [key for key, kind in kinds.items() if kind == "float"]
+    assert {"penalty", "floor"} <= set(reals)
+    cases += [({key: bad}, key) for key in reals
+              for bad in (math.nan, math.inf, -math.inf, True, "5")]
+    cases += [({key: bad}, key) for key, kind in kinds.items() if kind == "int"
+              for bad in (2.5, True)]
     for overrides, key in cases:
         with pytest.raises(ConfigError) as err:
             small_config(**overrides)

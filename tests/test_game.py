@@ -236,6 +236,21 @@ def test_non_integer_j_rejected(j):
         escape_probability(30, 0.9, j)
 
 
+@pytest.mark.parametrize("value", [True, False, "0.5", None])
+def test_non_number_p_or_penalty_rejected(value):
+    # expected_liar_payoff(True, 329.0, 30) used to return 1.0, and a string
+    # raised TypeError.
+    for key, call in (
+        ("p", lambda: expected_liar_payoff(value, 329.0, 30)),
+        ("p", lambda: escape_probability(30, value, 5)),
+        ("p", lambda: make_params(p=value)),
+        ("penalty", lambda: expected_liar_payoff(0.9, value, 30)),
+        ("penalty", lambda: make_params(penalty=value)),
+    ):
+        with pytest.raises(ValueError, match=f"{key} must be a number"):
+            call()
+
+
 @pytest.mark.parametrize("n", [2.5, 100.0, True, "100", None])
 def test_non_integer_n_rejected(n):
     # A fractional n used to give a bound (179.00000000000003 for 2.5).
@@ -257,6 +272,12 @@ def test_game_params_validation():
         make_params(n=0)
     with pytest.raises(ValueError):
         make_params(j=0)
+    # A NaN reward used to build and give NaN requester payoffs, and an
+    # infinite cost was rejected as "reward must exceed cost".
+    for key in ("reward", "cost"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{key} must be a finite number"):
+                make_params(**{key: bad})
 
 
 # --- properties ---

@@ -1,17 +1,16 @@
 import csv
 import io
-import math
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from trustsim.engine import SimConfig
 from trustsim.ledger import (
     EVENT_CSV_HEADER,
     EventCsvSink,
     EventKind,
-    LedgerConfig,
     TrustLedger,
     UnknownPeerError,
 )
@@ -20,22 +19,16 @@ from helpers import flatten
 
 
 def make_ledger(penalty=299.0, floor=0.0, peers=0, **kwargs):
-    """A ledger with ``peers`` peers registered at the floor."""
-    ledger = TrustLedger(LedgerConfig(penalty=penalty, floor=floor), **kwargs)
+    """A ledger with ``peers`` peers registered at the floor, on the
+    smallest valid ``SimConfig`` with that penalty and floor."""
+    config = SimConfig(
+        good_founders=2, bad_founders=0, liar_founders=0, catalog_size=2, n=2, p=0.0,
+        penalty=penalty, threshold=floor, total_cycles=1, rng_seed=0, floor=floor,
+    )
+    ledger = TrustLedger(config, **kwargs)
     for _ in range(peers):
         ledger.register()
     return ledger
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        LedgerConfig(penalty=0.0)
-    for bad in (math.nan, math.inf, -math.inf):
-        for key in ("penalty", "floor"):
-            values = dict(penalty=1.0, floor=0.0)
-            values[key] = bad
-            with pytest.raises(ValueError, match=key):
-                LedgerConfig(**values)
 
 
 def test_credit_increments_by_one():
