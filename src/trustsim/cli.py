@@ -15,6 +15,7 @@ import dataclasses
 import errno
 import math
 import os
+import stat
 import sys
 
 from . import game, oracle
@@ -204,11 +205,13 @@ def _cmd_simulate(args) -> int:
         if trace is not None and os.path.realpath(trace) in metrics_files:
             raise ConfigError("trace_csv", f"{trace!r} is also a metrics_csv output file")
     for path in {path for _, *paths in runs for path in paths if path is not None}:
-        if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, "output path is a directory", path)
-        directory = os.path.dirname(path) or "."
-        if not os.path.isdir(directory):
-            raise FileNotFoundError(errno.ENOENT, "no such output directory", directory)
+        try:  # an error but a missing file (a name too long, no access) fails here
+            if stat.S_ISDIR(os.stat(path).st_mode):
+                raise IsADirectoryError(errno.EISDIR, "output path is a directory", path)
+        except FileNotFoundError:  # so os.path.isdir below hides no other error
+            directory = os.path.dirname(path) or "."
+            if not os.path.isdir(directory):
+                raise FileNotFoundError(errno.ENOENT, "no such output directory", directory)
 
     for seed, metrics_path, trace_path in runs:
         sim_config = dataclasses.replace(run.sim, rng_seed=seed)

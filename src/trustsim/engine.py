@@ -32,12 +32,11 @@ holdings, one per round for all its draws, both from ``rng.round_draws``
 — so a run is byte-reproducible from its configuration.
 
 Draw, then apply: a round's stream depends only on the seed and the round
-index, so each round of ``run_cycle`` is two steps.  ``Population.draw_round``
-draws the whole round from one iterator over the round's stream
-(``rng.round_draws``, whose lane passes many rounds share), in stream order:
-requester, file (redrawn while the requester holds it), volunteers,
-selection; it reads no trust, as a population holds none.
-``Simulation.run_round`` then applies what was drawn.
+index.  ``Population.draw_cycle`` adds a cycle's newcomers and draws its
+rounds, each by ``draw_round`` from one iterator over its stream, in stream
+order: requester, file (redrawn while the requester holds it), volunteers,
+selection.  It reads no trust, as a population holds none, and of the config
+only draw keys; ``Simulation.run_cycle`` applies each round as it is drawn.
 """
 
 from __future__ import annotations
@@ -178,10 +177,16 @@ class SimConfig:
             if type(value) not in types:
                 raise ConfigError(name, f"must be {kind}, got {value!r}")
         for injection in self.newcomers:
+            if not isinstance(injection, Injection):
+                raise ConfigError("newcomers", f"items must be Injections, got {injection!r}")
             if type(injection.cycle) is not int or type(injection.count) is not int:
                 raise ConfigError("newcomers", f"cycle and count must be integers in {injection}")
             if not isinstance(injection.behavior, Behavior):
                 raise ConfigError("newcomers", f"behavior must be a Behavior in {injection}")
+            if injection.cycle < 0:
+                raise ConfigError("newcomers", "cycle must be >= 0")
+            if injection.count < 1:
+                raise ConfigError("newcomers", "count must be >= 1")
         for key in ("good_founders", "bad_founders", "liar_founders"):
             if getattr(self, key) < 0:
                 raise ConfigError(key, "must be >= 0")
@@ -213,11 +218,6 @@ class SimConfig:
             raise ConfigError("threshold", "must be >= floor")
         if self.total_cycles < 1:
             raise ConfigError("total_cycles", "must be >= 1")
-        for injection in self.newcomers:
-            if injection.cycle < 0:
-                raise ConfigError("newcomers", "cycle must be >= 0")
-            if injection.count < 1:
-                raise ConfigError("newcomers", "count must be >= 1")
         if self.founder_population + sum(i.count for i in self.newcomers) >= MAX_DRAW_RANGE:
             raise ConfigError("newcomers", "founders plus newcomers must number below 2**32")
 
@@ -286,8 +286,8 @@ class RoundRecord(NamedTuple):
 
 class Population:
     """Peers (dense ids, see above), their holdings, the per-file
-    truthful-holder index, and the round draw; :func:`build_population`
-    adds the founders.
+    truthful-holder index, and the draw of each cycle, newcomers included;
+    :func:`build_population` adds the founders.
 
     ``holdings`` is one ``array`` (typecode ``HOLDINGS_TYPECODE``): its slice
     ``[i * h:(i + 1) * h]``, h = ``holdings_size``, is peer i's file ids in
@@ -303,6 +303,8 @@ class Population:
             array(HOLDINGS_TYPECODE) for _ in range(config.catalog_size)]
         self.newcomer_good_ids: list[int] = []
         self._holdings_prefix = derive_seed(config.rng_seed, "holdings")
+        self._round_prefix = derive_seed(config.rng_seed, "round")
+        self._pending = sorted(config.newcomers, key=lambda i: i.cycle)
         # Liar-count CDFs by the number of liars the requester leaves in the
         # pool; each built on first use, all dropped when a peer is added.
         self._cdfs: dict[int, tuple[int, list[float]]] = {}
@@ -337,10 +339,18 @@ class Population:
         self._cdfs.clear()
         return peer_id
 
+    def draw_cycle(self, cycle: int, start: int) -> Iterator[tuple[int, int, list[int], int, int]]:
+        """Add the newcomers due by ``cycle`` now, then return the cycle's
+        rounds, from round ``start`` on, each drawn when it is reached."""
+        while self._pending and self._pending[0].cycle <= cycle:
+            injection = self._pending.pop(0)
+            self.add_peers(injection.behavior, injection.count)
+        return map(self.draw_round,
+                   round_draws(self._round_prefix, start, self.config.queries_per_cycle))
+
     def draw_round(self, draws: Iterator[int]) -> tuple[int, int, list[int], int, int]:
-        """The requester, the file, the volunteers and the two selection
-        draws of a round, taken in order from ``draws``, the round's stream
-        outputs.  ``Simulation.run_round`` applies them."""
+        """A round's requester, file, volunteers and two selection draws, taken
+        in order from ``draws``, the round's stream outputs."""
         requester_id = (next(draws) * self.size) >> 64  # a draw below size
         holdings = self.holdings
         lo = requester_id * self.holdings_size
@@ -463,7 +473,7 @@ def select_server(
 
 
 class Simulation:
-    """One run: owns the population, the ledger, and the round counter."""
+    """One run: applies to its ledger the rounds its population draws."""
 
     def __init__(self, config: SimConfig, event_sink: EventSink | None = None):
         self.config = config
@@ -471,7 +481,6 @@ class Simulation:
         self.ledger = TrustLedger(config, event_sink=event_sink)
         for _ in range(self.population.size):
             self.ledger.register()
-        self._pending = sorted(config.newcomers, key=lambda i: i.cycle)
         self.round_index = 0
 
     def run(self) -> "MetricsSeries":
@@ -479,14 +488,13 @@ class Simulation:
         return MetricsSeries(rows)
 
     def run_cycle(self, cycle: int) -> "MetricsRow":
-        """Inject the cycle's newcomers, then draw and apply its rounds one
-        at a time (see the module docstring)."""
-        self._inject(cycle)
-        config = self.config
-        prefix = derive_seed(config.rng_seed, "round")
+        """Draw the cycle, score its newcomers, and apply each round as it is drawn."""
+        rounds = self.population.draw_cycle(cycle, self.round_index)
+        while len(self.ledger.scores) < self.population.size:
+            self.ledger.register()
         successes = failures = 0
-        for draws in round_draws(prefix, self.round_index, config.queries_per_cycle):
-            record = self.run_round(self.population.draw_round(draws))
+        for drawn in rounds:
+            record = self.run_round(drawn)
             if record.outcome is Outcome.SUCCESS:
                 successes += 1
             elif record.outcome is Outcome.FAILURE:
@@ -527,13 +535,6 @@ class Simulation:
             round_index, requester_id, file_id, tuple(volunteers), Gate.SERVED,
             mode, selected, outcome, delta,
         )
-
-    def _inject(self, cycle: int) -> None:
-        while self._pending and self._pending[0].cycle <= cycle:
-            injection = self._pending.pop(0)
-            self.population.add_peers(injection.behavior, injection.count)
-            for _ in range(injection.count):
-                self.ledger.register()
 
     def _metrics_row(self, cycle: int, successes: int, failures: int) -> "MetricsRow":
         scores = self.ledger.scores

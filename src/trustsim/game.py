@@ -62,6 +62,7 @@ class GameParams:
         check_p(self.p)
         check_penalty(self.penalty)
         for key in ("reward", "cost"):
+            _require_real(key, getattr(self, key))
             if not math.isfinite(getattr(self, key)):
                 raise ValueError(f"{key} must be a finite number")
         if self.cost <= 0.0:

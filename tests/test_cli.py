@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 import shlex
@@ -221,6 +222,16 @@ def test_simulate_directory_output_path_is_io_error(tmp_path, monkeypatch):
     assert run_cli("simulate", str(path)) == 3
     path, _ = write_config(tmp_path, trace_csv=str(tmp_path))
     assert run_cli("simulate", str(path)) == 3
+
+
+def test_simulate_output_name_the_os_rejects_is_io_error(tmp_path, capsys, monkeypatch):
+    # A name too long passed os.path.isdir, and the run failed only after its last cycle.
+    _forbid_simulation(monkeypatch)
+    path, _ = write_config(tmp_path, metrics_csv=str(tmp_path / ("m" * 300 + ".csv")))
+    assert run_cli("simulate", str(path)) == 3
+    captured = capsys.readouterr()
+    assert "seed=" not in captured.out
+    assert os.strerror(errno.ENAMETOOLONG) in captured.err
 
 
 @pytest.mark.parametrize("seeds", [(), ("--seeds", "1,2")])

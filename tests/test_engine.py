@@ -36,10 +36,8 @@ from trustsim.rng import (
     TAIL_BLOCK,
     Stream,
     _mix_lanes,
-    derive_seed,
     draw_hypergeom,
     hypergeom_cdf,
-    round_draws,
 )
 
 from helpers import (ListStream, flatten, holdings_of, play_round, randbelow, scalar_holdings,
@@ -121,6 +119,8 @@ def test_config_validation_names_offending_key():
         (dict(newcomers=(Injection(1, 2.5, Behavior.GOOD_SERVER),)), "newcomers"),
         (dict(newcomers=(Injection(1, 2, "good"),)), "newcomers"),  # an AttributeError
         (dict(newcomers=[Injection(1, 2, Behavior.GOOD_SERVER)]), "newcomers"),  # unhashable
+        (dict(newcomers=((1, 2, Behavior.GOOD_SERVER),)), "newcomers"),  # an AttributeError
+        (dict(newcomers=(None,)), "newcomers"),
     ]
     # Every key by its annotation, so a new key is covered with no edit here.
     kinds = {f.name: f.type.removesuffix(" | None") for f in dataclasses.fields(SimConfig)}
@@ -245,7 +245,7 @@ def _joining(*counts):
 @example((65, holdings_config(16, 15, 33, 66, 6, _joining(1, 17, 16))))
 @example((100, holdings_config(33, 17, 0, 101, 7, _joining(16, 1, 17))))
 def test_holdings_equal_scalar_reference(case):
-    """Founders and the newcomers ``_inject`` adds hold what one scalar
+    """Founders and the newcomers ``draw_cycle`` adds hold what one scalar
     draw at a time from each peer's own stream gives, as ``holdings_size``
     strictly increasing 4-byte file ids (``draw_round`` bisects them) in
     the peer's slice of ``holdings``, and ``holders_by_file`` indexes the
@@ -262,9 +262,8 @@ def test_holdings_equal_scalar_reference(case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "holdings_size", lambda catalog, n: size)
         patch.setattr(rng, "_blocks", counting_blocks)
-        sim = Simulation(config)
-        sim._inject(len(config.newcomers))
-    population = sim.population
+        population = build_population(config)
+        population.draw_cycle(len(config.newcomers), 0)  # adds every newcomer
     assert population.size == config.founder_population + sum(i.count for i in config.newcomers)
     expected = [
         scalar_holdings(config.rng_seed, pid, size, config.catalog_size)
@@ -547,10 +546,23 @@ def test_file_redraw_at_the_holdings_edges():
         assert next(remaining) == stream.next_u64()  # the same draws were used
 
 
+class DrawKeysOnly:
+    """A view of ``config`` on which reading a key that only the apply
+    step uses raises."""
+
+    def __init__(self, config):
+        self._config = config
+
+    def __getattr__(self, key):
+        if key in ("p", "penalty", "floor", "threshold"):
+            raise AssertionError(f"the draw read {key}")
+        return getattr(self._config, key)
+
+
 def test_draw_round_reads_no_trust():
-    """Rounds drawn from a population built on its own, with no simulation
-    and no ledger, given the same newcomers at the same cycles, are the
-    rounds a simulation applies while its trust moves, across injections."""
+    """The rounds ``draw_cycle`` draws from a population built on its own,
+    with no simulation, no ledger and no apply key, are the rounds a
+    simulation applies while its trust moves, across injections."""
     config = small_config(threshold=2.0, queries_per_cycle=30, total_cycles=6, newcomers=(
         Injection(4, 2, Behavior.GOOD_SERVER), Injection(2, 3, Behavior.LIAR)))
     sim = Simulation(config)
@@ -564,15 +576,13 @@ def test_draw_round_reads_no_trust():
         return record
 
     sim.run_round = run_round
-    population = build_population(config)
-    prefix = derive_seed(config.rng_seed, "round")
+    view = DrawKeysOnly(config)
+    with pytest.raises(AssertionError, match="the draw read p"):
+        view.p
+    population = build_population(view)
     drawn = []
     for cycle in range(config.total_cycles):
-        for injection in config.newcomers:
-            if injection.cycle == cycle:
-                population.add_peers(injection.behavior, injection.count)
-        drawn += [population.draw_round(draws) for draws in
-                  round_draws(prefix, cycle * config.queries_per_cycle, config.queries_per_cycle)]
+        drawn += population.draw_cycle(cycle, len(drawn))
         sim.run_cycle(cycle)
     assert population.size == sim.population.size == 17
     assert len(applied) == len(drawn) == config.total_cycles * config.queries_per_cycle
@@ -942,8 +952,10 @@ def scalar_cycle(sim, cycle, records, cases):
     round's record to ``records`` and counts file re-draws and liar
     requesters in ``cases``.  Its metrics row picks each curve's peers by
     behavior, not by id range as ``_metrics_row`` does."""
-    sim._inject(cycle)
     config, population, ledger = sim.config, sim.population, sim.ledger
+    population.draw_cycle(cycle, sim.round_index)  # adds the cycle's newcomers
+    while len(ledger.scores) < population.size:
+        ledger.register()
     scores = ledger.scores
     successes = failures = 0
     for _ in range(config.queries_per_cycle):

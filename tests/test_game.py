@@ -278,6 +278,12 @@ def test_game_params_validation():
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{key} must be a finite number"):
                 make_params(**{key: bad})
+    # A bool was taken as 1, and a string or None raised a bare TypeError.
+    cases = [(dict(reward=10.0, cost=True), "cost"), (dict(reward=True, cost=0.5), "reward"),
+             (dict(reward="5"), "reward"), (dict(cost="0.5"), "cost"), (dict(cost=None), "cost")]
+    for overrides, key in cases:
+        with pytest.raises(ValueError, match=f"{key} must be a number"):
+            make_params(**overrides)
 
 
 # --- properties ---
