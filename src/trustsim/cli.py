@@ -20,7 +20,7 @@ import sys
 
 from . import game, oracle
 from .chart import write_chart
-from .engine import ConfigError, Simulation, integer
+from .engine import ConfigError, integer, run_simulation
 from .ledger import EventCsvSink
 from .runconfig import config_keys, load_run_config
 
@@ -217,9 +217,9 @@ def _cmd_simulate(args) -> int:
         sim_config = dataclasses.replace(run.sim, rng_seed=seed)
         if trace_path is not None:
             with open(trace_path, "w", newline="") as trace_fh:
-                series = Simulation(sim_config, event_sink=EventCsvSink(trace_fh)).run()
+                series = run_simulation(sim_config, event_sink=EventCsvSink(trace_fh))
         else:
-            series = Simulation(sim_config).run()
+            series = run_simulation(sim_config)
         series.write_csv(metrics_path)
         last = series.rows[-1]
         print(

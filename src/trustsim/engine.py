@@ -32,11 +32,12 @@ holdings, one per round for all its draws, both from ``rng.round_draws``
 — so a run is byte-reproducible from its configuration.
 
 Draw, then apply: a round's stream depends only on the seed and the round
-index.  ``Population.draw_cycle`` adds a cycle's newcomers and draws its
-rounds, each by ``draw_round`` from one iterator over its stream, in stream
-order: requester, file (redrawn while the requester holds it), volunteers,
-selection.  It reads no trust, as a population holds none, and of the config
-only draw keys; ``Simulation.run_cycle`` applies each round as it is drawn.
+index; cycle c has rounds c*Q to c*Q + Q - 1, Q being ``queries_per_cycle``.
+``Population.draw_cycle`` adds a cycle's newcomers and draws its rounds, each
+by ``draw_round`` from one iterator over its stream, in stream order:
+requester, file (redrawn while the requester holds it), volunteers,
+selection.  It reads no trust and, of the config, only draw keys; each round
+carries its index, under which ``Simulation.run_cycle`` applies it.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import count, islice
 from typing import Iterator, NamedTuple
 
 from .game import Selection
@@ -63,6 +64,8 @@ MAX_DRAW_RANGE = 2**32
 # The smallest unsigned array typecode that holds every file id and every
 # peer id (both below MAX_DRAW_RANGE): 4 bytes on common platforms.
 HOLDINGS_TYPECODE = next(code for code in "IL" if array(code).itemsize >= 4)
+# A drawn round: index, requester, file, volunteers, mode draw, pick draw.
+DrawnRound = tuple[int, int, int, list[int], int, int]
 
 
 class ConfigError(ValueError):
@@ -214,6 +217,8 @@ class SimConfig:
         if not 0 <= self.rng_seed < 2**64:
             # Seeds are used modulo 2**64: any other integer aliases one.
             raise ConfigError("rng_seed", "must be within [0, 2**64)")
+        if not abs(self.floor) < 2**52:  # scores from the floor up: every +1 stays exact
+            raise ConfigError("floor", "must be within (-2**52, 2**52)")
         if self.threshold < self.floor:
             raise ConfigError("threshold", "must be >= floor")
         if self.total_cycles < 1:
@@ -287,7 +292,7 @@ class RoundRecord(NamedTuple):
 class Population:
     """Peers (dense ids, see above), their holdings, the per-file
     truthful-holder index, and the draw of each cycle, newcomers included;
-    :func:`build_population` adds the founders.
+    :func:`build_population` adds the founders; a new one draws any cycle by its number alone.
 
     ``holdings`` is one ``array`` (typecode ``HOLDINGS_TYPECODE``): its slice
     ``[i * h:(i + 1) * h]``, h = ``holdings_size``, is peer i's file ids in
@@ -339,18 +344,19 @@ class Population:
         self._cdfs.clear()
         return peer_id
 
-    def draw_cycle(self, cycle: int, start: int) -> Iterator[tuple[int, int, list[int], int, int]]:
+    def draw_cycle(self, cycle: int) -> Iterator[DrawnRound]:
         """Add the newcomers due by ``cycle`` now, then return the cycle's
-        rounds, from round ``start`` on, each drawn when it is reached."""
+        rounds (see the module docstring), each drawn when it is reached."""
         while self._pending and self._pending[0].cycle <= cycle:
             injection = self._pending.pop(0)
             self.add_peers(injection.behavior, injection.count)
-        return map(self.draw_round,
-                   round_draws(self._round_prefix, start, self.config.queries_per_cycle))
+        queries = self.config.queries_per_cycle
+        return map(self.draw_round, count(cycle * queries),
+                   round_draws(self._round_prefix, cycle * queries, queries))
 
-    def draw_round(self, draws: Iterator[int]) -> tuple[int, int, list[int], int, int]:
-        """A round's requester, file, volunteers and two selection draws, taken
-        in order from ``draws``, the round's stream outputs."""
+    def draw_round(self, index: int, draws: Iterator[int]) -> DrawnRound:
+        """Round ``index``: its requester, file, volunteers and two selection
+        draws, taken in order from ``draws``, the round's stream outputs."""
         requester_id = (next(draws) * self.size) >> 64  # a draw below size
         holdings = self.holdings
         lo = requester_id * self.holdings_size
@@ -362,7 +368,7 @@ class Population:
             if i == hi or holdings[i] != file_id:  # not held
                 break
         volunteers = self.volunteers(draws, requester_id, file_id)
-        return requester_id, file_id, volunteers, next(draws), next(draws)
+        return index, requester_id, file_id, volunteers, next(draws), next(draws)
 
     def volunteers(self, draws: Iterator[int], requester_id: int, file_id: int) -> list[int]:
         """Draw one query's volunteer set, taking from ``draws`` (raw 64-bit
@@ -473,7 +479,7 @@ def select_server(
 
 
 class Simulation:
-    """One run: applies to its ledger the rounds its population draws."""
+    """One run: applies to its ledger the rounds its population draws, each under its index."""
 
     def __init__(self, config: SimConfig, event_sink: EventSink | None = None):
         self.config = config
@@ -481,15 +487,10 @@ class Simulation:
         self.ledger = TrustLedger(config, event_sink=event_sink)
         for _ in range(self.population.size):
             self.ledger.register()
-        self.round_index = 0
-
-    def run(self) -> "MetricsSeries":
-        rows = [self.run_cycle(cycle) for cycle in range(self.config.total_cycles)]
-        return MetricsSeries(rows)
 
     def run_cycle(self, cycle: int) -> "MetricsRow":
-        """Draw the cycle, score its newcomers, and apply each round as it is drawn."""
-        rounds = self.population.draw_cycle(cycle, self.round_index)
+        """Draw the next cycle, ``cycle``, score its newcomers and apply its rounds as drawn."""
+        rounds = self.population.draw_cycle(cycle)
         while len(self.ledger.scores) < self.population.size:
             self.ledger.register()
         successes = failures = 0
@@ -501,16 +502,13 @@ class Simulation:
                 failures += 1
         return self._metrics_row(cycle, successes, failures)
 
-    def run_round(self, drawn: tuple[int, int, list[int], int, int]) -> RoundRecord:
-        """Apply the next round, ``drawn`` by ``Population.draw_round``."""
+    def run_round(self, drawn: DrawnRound) -> RoundRecord:
+        """Apply a round ``drawn`` by ``Population.draw_round``, under its index."""
         config = self.config
         population = self.population
         ledger = self.ledger
         scores = ledger.scores
-        round_index = self.round_index
-        self.round_index = round_index + 1
-
-        requester_id, file_id, volunteers, mode_draw, pick_draw = drawn
+        round_index, requester_id, file_id, volunteers, mode_draw, pick_draw = drawn
         if not volunteers:
             return RoundRecord(round_index, requester_id, file_id, (), Gate.NO_VOLUNTEERS)
 
@@ -560,8 +558,9 @@ class Simulation:
 
 
 def run_simulation(config: SimConfig, event_sink: EventSink | None = None) -> "MetricsSeries":
-    """Run the full schedule and return the per-cycle metrics."""
-    return Simulation(config, event_sink=event_sink).run()
+    """Run the full schedule, cycle after cycle, and return the per-cycle metrics."""
+    sim = Simulation(config, event_sink=event_sink)
+    return MetricsSeries([sim.run_cycle(cycle) for cycle in range(config.total_cycles)])
 
 
 @dataclass(frozen=True)

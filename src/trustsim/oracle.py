@@ -56,8 +56,14 @@ def mc_liar_payoff(p: float, penalty: float, j: int, trials: int, seed: int = 0)
     credited = _survivals(state, random_bound(p), zero_bound(j), 1, trials)
     penalized = trials - credited
     mean = (credited - penalty * penalized) / trials
-    ss = credited * (1.0 - mean) ** 2 + penalized * (-penalty - mean) ** 2
-    return McResult(mean=mean, std_error=math.sqrt(ss / (trials - 1) / trials), trials=trials)
+    try:
+        ss = credited * (1.0 - mean) ** 2 + penalized * (-penalty - mean) ** 2
+    except OverflowError:  # a float power that overflows raises
+        ss = math.inf
+    std_error = math.sqrt(ss / (trials - 1) / trials)
+    if not (math.isfinite(mean) and math.isfinite(std_error)):
+        raise ValueError(f"penalty {penalty!r} is too large: the estimate overflows")
+    return McResult(mean=mean, std_error=std_error, trials=trials)
 
 
 def mc_escape_frequency(j: int, p: float, streak: int, trials: int, seed: int = 0) -> McResult:
@@ -171,7 +177,10 @@ def _check_run(trials: int, seed: int) -> None:
 
 def within_sigmas(expected: float, result: McResult, sigmas: float = 4.0) -> bool:
     """True when the estimate lies within ``sigmas`` standard errors of the
-    expected value (exact equality required when the spread is zero)."""
+    expected value (exact equality required when the spread is zero); never
+    for a non-finite estimate."""
+    if not (math.isfinite(result.mean) and math.isfinite(result.std_error)):
+        return False
     if result.std_error == 0.0:
         return result.mean == expected
     return abs(result.mean - expected) <= sigmas * result.std_error

@@ -57,13 +57,14 @@ def holdings_of(population, pid):
     return population.holdings[pid * size:(pid + 1) * size]
 
 
-def play_round(sim, requester):
-    """Draw and apply the next round of ``sim`` for a forced requester: the
+def play_round(sim, requester, index):
+    """Draw and apply round ``index`` of ``sim`` for a forced requester: the
     smallest output that draws it, then the draws of the round's own stream
     from its start."""
     first = -(-(requester << 64) // sim.population.size)
-    stream = Stream.from_path(sim.config.rng_seed, "round", sim.round_index)
-    return sim.run_round(sim.population.draw_round(chain([first], iter(stream.next_u64, None))))
+    stream = Stream.from_path(sim.config.rng_seed, "round", index)
+    drawn = sim.population.draw_round(index, chain([first], iter(stream.next_u64, None)))
+    return sim.run_round(drawn)
 
 
 class Event(NamedTuple):

@@ -283,10 +283,10 @@ def test_criterion_9_ledger_invariants_randomized():
         rng = random.Random(515)
         floor = config.floor
         scores = sim.ledger.scores
-        for _ in range(10_000):
+        for index in range(10_000):
             requester = rng.randrange(sim.population.size)
             before = len(batches)
-            record = play_round(sim, requester)
+            record = play_round(sim, requester, index)
             new = flatten(batches[before:])
             penalties = [e for e in new if e.kind is EventKind.PENALTY]
             credits = len(new) - len(penalties)

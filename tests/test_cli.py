@@ -1,4 +1,5 @@
 import errno
+import math
 import os
 import re
 import shlex
@@ -203,7 +204,7 @@ def _forbid_simulation(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("the run started before the output paths were checked")
 
-    monkeypatch.setattr("trustsim.cli.Simulation", fail)
+    monkeypatch.setattr("trustsim.cli.run_simulation", fail)
 
 
 def test_simulate_empty_output_path_is_config_error(tmp_path, capsys, monkeypatch):
@@ -399,11 +400,23 @@ def test_draw_ranges_of_2_32_rejected_before_the_run(key, overrides, tmp_path, c
     def never(*args, **kwargs):
         raise AssertionError("the run started")
 
-    monkeypatch.setattr(cli, "Simulation", never)
+    monkeypatch.setattr(cli, "run_simulation", never)
     monkeypatch.setattr(engine, "build_population", never)
     config, _ = write_config(tmp_path, **overrides)
     assert run_cli("simulate", str(config)) == 2
     assert f"error: {key}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(floor=-1e17), dict(floor=1e16, threshold=1e16), dict(floor=-1.7e308)])
+def test_simulate_floor_beyond_exact_credits_is_config_error(overrides, tmp_path, capsys,
+                                                             monkeypatch):
+    # These ran: the first two with every curve stuck at the floor, the last
+    # into an OverflowError in the metrics, exit 1.
+    _forbid_simulation(monkeypatch)
+    config, _ = write_config(tmp_path, **overrides)
+    assert run_cli("simulate", str(config)) == 2
+    assert "error: floor: must be within" in capsys.readouterr().err
 
 
 # --- oracle ---
@@ -455,6 +468,12 @@ def test_oracle_invalid_params(capsys):
     assert run_cli("oracle", "liar-payoff", "--p", "0.9", "--penalty", "-5",
                    "--j", "30", "--trials", "1000") == 2
     assert "penalty must be >= 0" in capsys.readouterr().err
+    # These passed with mc_mean=-inf, or ended in an OverflowError and exit 1.
+    for p, penalty, j in (("0.9", "1e308", "30"), ("0.9", "1e200", "30"), ("0", "1e160", "2")):
+        assert run_cli("oracle", "liar-payoff", "--p", p, "--penalty", penalty, "--j", j,
+                       "--trials", "1e4") == 2
+        captured = capsys.readouterr()
+        assert "verdict" not in captured.out and "error: penalty " in captured.err
 
 
 @pytest.mark.parametrize("value, trials", [("1e6", 10**6), ("1000.9", None), ("nan", None)])
@@ -472,6 +491,46 @@ def test_oracle_scientific_trials(capsys):
                    "--trials", "1e4", "--seed", "2")
     assert code == 0
     assert "trials=10000" in capsys.readouterr().out
+
+
+# --- robustness sweep ---
+
+
+EXTREMES = ("1.7e308", "-1.7e308", str(2**53), str(-(2**53)), "1e160", "5e-324", "-5e-324")
+
+
+@pytest.mark.parametrize("value", EXTREMES)
+@pytest.mark.parametrize("key, argv", [
+    *(
+        (flag, ("analyze", "--n", "100", "--j", "30", "--p", "0.9"))
+        for flag in ("--p", "--epsilon", "--margin", "--reward", "--cost")
+    ),
+    *(
+        (flag, ("oracle", "liar-payoff", "--p", "0.9", "--penalty", "329", "--j", "30",
+                "--trials", "1000"))
+        for flag in ("--p", "--penalty", "--sigmas")
+    ),
+    *(
+        (flag, ("oracle", "escape", "--j", "30", "--p", "0.9", "--streak", "5",
+                "--trials", "1000"))
+        for flag in ("--p", "--sigmas")
+    ),
+    *((flag, ("simulate",)) for flag in ("--p", "--penalty", "--threshold", "--floor")),
+])
+def test_extreme_reals_end_in_an_exit_code(key, argv, value, tmp_path, capsys):
+    """Every real-valued option at the edges of a float ends in exit 0, 1 or
+    2, never in an exception, and never passes a non-finite estimate."""
+    argv = [*argv, f"{key}={value}"]
+    if argv[0] == "simulate":
+        config, _ = write_config(tmp_path, total_cycles=3)
+        argv.insert(1, str(config))
+        if key == "--floor":  # a threshold below the floor is rejected on its own
+            argv.append(f"--threshold={value}")
+    assert run_cli(*argv) in (0, 1, 2)
+    out = capsys.readouterr().out
+    if "verdict=PASS" in out:
+        for name in ("mc_mean", "std_error"):
+            assert math.isfinite(float(re.search(rf"{name}=(\S+)", out).group(1))), out
 
 
 # --- README ---

@@ -121,6 +121,13 @@ def test_config_validation_names_offending_key():
         (dict(newcomers=[Injection(1, 2, Behavior.GOOD_SERVER)]), "newcomers"),  # unhashable
         (dict(newcomers=((1, 2, Behavior.GOOD_SERVER),)), "newcomers"),  # an AttributeError
         (dict(newcomers=(None,)), "newcomers"),
+        # A +1 credit must change every score: 1e16 + 1.0 == 1e16 froze every
+        # curve at the floor, and -1.7e308 overflowed the metrics' fsum.
+        (dict(floor=-1e17), "floor"),
+        (dict(floor=1e16, threshold=1e16), "floor"),
+        (dict(floor=-1.7e308), "floor"),
+        (dict(floor=-2.0**52), "floor"),
+        (dict(floor=2**52, threshold=2**52), "floor"),
     ]
     # Every key by its annotation, so a new key is covered with no edit here.
     kinds = {f.name: f.type.removesuffix(" | None") for f in dataclasses.fields(SimConfig)}
@@ -134,6 +141,7 @@ def test_config_validation_names_offending_key():
         with pytest.raises(ConfigError) as err:
             small_config(**overrides)
         assert err.value.key == key, overrides
+    small_config(floor=1 - 2**52)  # the floor of largest magnitude
 
 
 def test_config_just_below_the_draw_range_validates():
@@ -263,7 +271,7 @@ def test_holdings_equal_scalar_reference(case):
         patch.setattr(engine, "holdings_size", lambda catalog, n: size)
         patch.setattr(rng, "_blocks", counting_blocks)
         population = build_population(config)
-        population.draw_cycle(len(config.newcomers), 0)  # adds every newcomer
+        population.draw_cycle(len(config.newcomers))  # adds every newcomer
     assert population.size == config.founder_population + sum(i.count for i in config.newcomers)
     expected = [
         scalar_holdings(config.rng_seed, pid, size, config.catalog_size)
@@ -301,7 +309,8 @@ def test_add_peer_is_called_once_per_peer(monkeypatch):
     monkeypatch.setattr(engine.Population, "add_peer", counting)
     sim = Simulation(small_config(newcomers=_joining(17, 1, 16)))
     assert added == sim.population.behaviors and len(added) == 12
-    sim.run()
+    for cycle in range(sim.config.total_cycles):
+        sim.run_cycle(cycle)
     assert added == sim.population.behaviors and len(added) == 12 + 34
 
 
@@ -416,7 +425,7 @@ def test_round_with_good_and_liar_forced_random_penalizes_liar():
         sim = three_peer_sim(rng_seed=seed)
         for _ in range(3):
             sim.ledger.credit(liar)
-        record = play_round(sim, 0)
+        record = play_round(sim, 0, 0)
         assert record.gate is Gate.SERVED
         assert record.mode is Selection.RANDOM
         assert set(record.volunteer_ids) == {good, liar}
@@ -436,7 +445,7 @@ def test_round_all_good_volunteers_credits_everyone():
                        catalog_size=4, n=2, p=0.9, reach=3)
     sim = Simulation(cfg)
     set_holdings(sim, {0: {0, 1}, 1: {2, 3}, 2: {2, 3}, 3: {2, 3}})
-    record = play_round(sim, 0)
+    record = play_round(sim, 0, 0)
     assert record.gate is Gate.SERVED
     assert record.outcome is Outcome.SUCCESS
     assert set(record.volunteer_ids) == {1, 2, 3}
@@ -448,7 +457,7 @@ def test_round_without_volunteers_changes_nothing():
                        catalog_size=2, n=2, p=0.9, reach=1)
     sim = Simulation(cfg)
     set_holdings(sim, {0: {0}, 1: {0}})  # nobody holds file 1
-    record = play_round(sim, 0)
+    record = play_round(sim, 0, 0)
     assert record.gate is Gate.NO_VOLUNTEERS
     assert record.volunteer_ids == ()
     assert record.outcome is None and record.selected_id is None
@@ -459,7 +468,7 @@ def test_round_below_threshold_is_reputation_only():
     sim = three_peer_sim(threshold=5.0)
     for _ in range(3):
         sim.ledger.credit(2)
-    record = play_round(sim, 0)
+    record = play_round(sim, 0, 0)
     assert record.gate is Gate.REPUTATION_ONLY
     assert record.mode is None and record.selected_id is None
     assert record.outcome is None
@@ -474,7 +483,7 @@ def test_round_below_threshold_is_reputation_only():
         for _ in range(5):
             sim.ledger.credit(0)
         assert sim.ledger.scores[0] == 5.0
-        assert play_round(sim, 0).gate is gate
+        assert play_round(sim, 0, 0).gate is gate
 
 
 def test_round_selected_good_server_event_kind():
@@ -485,7 +494,7 @@ def test_round_selected_good_server_event_kind():
     set_holdings(sim, {0: {0, 1}, 1: {2, 3}, 2: {2, 3}, 3: {2, 3}})
     sim.ledger.credit(2)  # make peer 2 the unique argmax
     batches.clear()
-    record = play_round(sim, 0)
+    record = play_round(sim, 0, 0)
     assert record.selected_id == 2
     # The server's credit is a batch of its own, then the other volunteers'
     # credits follow in one batch, in volunteer order.
@@ -529,7 +538,7 @@ def test_file_redraw_at_the_holdings_edges():
         (highest(2, size), 2, [highest(5), lowest(6)], 6),
         (2**64 - 1, size - 1, [lowest(2), highest(6), lowest(7)], 7),  # the liar
     )
-    for first, requester, file_draws, chosen in cases:
+    for index, (first, requester, file_draws, chosen) in enumerate(cases):
         draws = [first] + file_draws + list(range(101, 121))  # then volunteer, mode and pick
         stream = ListStream(draws)
         assert randbelow(stream, size) == requester
@@ -538,11 +547,11 @@ def test_file_redraw_at_the_holdings_edges():
         while file_id in held:
             file_id = randbelow(stream, catalog)
         assert file_id == chosen
-        expected = (requester, file_id,
+        expected = (index, requester, file_id,
                     scalar_volunteers(sim.population, stream, requester, file_id),
                     stream.next_u64(), stream.next_u64())
         remaining = iter(draws)
-        assert sim.population.draw_round(remaining) == expected, (first, file_draws)
+        assert sim.population.draw_round(index, remaining) == expected, (first, file_draws)
         assert next(remaining) == stream.next_u64()  # the same draws were used
 
 
@@ -582,12 +591,45 @@ def test_draw_round_reads_no_trust():
     population = build_population(view)
     drawn = []
     for cycle in range(config.total_cycles):
-        drawn += population.draw_cycle(cycle, len(drawn))
+        drawn += population.draw_cycle(cycle)
         sim.run_cycle(cycle)
     assert population.size == sim.population.size == 17
     assert len(applied) == len(drawn) == config.total_cycles * config.queries_per_cycle
     assert applied == drawn  # requester, file, volunteers and the selection draws
     assert gates == set(Gate)  # trust moved: requesters below and above the threshold
+
+
+def test_rounds_are_applied_under_the_index_they_carry():
+    """A new simulation that applies cycle 3 first records its rounds as
+    rounds 3Q to 4Q - 1, Q the queries per cycle, in its records and in
+    its event batches."""
+    config = small_config(threshold=2.0, queries_per_cycle=30, total_cycles=6)
+    batches, records = [], []
+    sim = Simulation(config, event_sink=batches.append)
+    apply = sim.run_round
+    sim.run_round = lambda drawn: records.append(apply(drawn)) or records[-1]
+    sim.run_cycle(3)
+    queries = config.queries_per_cycle
+    assert [record.round_index for record in records] == list(range(3 * queries, 4 * queries))
+    indices = [batch[0] for batch in batches]
+    assert indices == sorted(indices)
+    assert set(indices) == {record.round_index for record in records if record.volunteer_ids}
+
+
+def test_each_cycle_is_drawn_by_its_number_alone():
+    """``draw_cycle(c)`` on a freshly built population gives the rounds that
+    cycle c of an in-order run applies, across two injections."""
+    config = small_config(threshold=2.0, queries_per_cycle=30, total_cycles=6, newcomers=(
+        Injection(4, 2, Behavior.GOOD_SERVER), Injection(2, 3, Behavior.LIAR)))
+    sim = Simulation(config)
+    applied = []
+    apply = sim.run_round
+    sim.run_round = lambda drawn: applied.append(drawn) or apply(drawn)
+    for cycle in range(config.total_cycles):
+        del applied[:]
+        sim.run_cycle(cycle)
+        assert list(build_population(config).draw_cycle(cycle)) == applied, cycle
+        assert len(applied) == config.queries_per_cycle
 
 
 def test_liar_count_cdfs_are_built_once_per_liar_count(monkeypatch):
@@ -629,9 +671,9 @@ def test_truthful_volunteers_always_hold_the_file():
     sim = Simulation(cfg)
     population = sim.population
     rng = random.Random(2)
-    for _ in range(4000):
+    for index in range(4000):
         requester = rng.randrange(population.size)
-        record = play_round(sim, requester)
+        record = play_round(sim, requester, index)
         for pid in record.volunteer_ids:
             if population.behaviors[pid].truthful:
                 assert record.file_id in holdings_of(population, pid)
@@ -645,8 +687,8 @@ def test_volunteer_rates_match_reach_and_holdings():
     requester = 0
     tracked_good, tracked_liar = 1, sim.population.liar_pool[0]
     good_count = liar_count = 0
-    for _ in range(rounds):
-        record = play_round(sim, requester)
+    for index in range(rounds):
+        record = play_round(sim, requester, index)
         if tracked_good in record.volunteer_ids:
             good_count += 1
         if tracked_liar in record.volunteer_ids:
@@ -938,7 +980,8 @@ def test_engine_never_calls_trust_ledger_credit(monkeypatch):
     records = []
     apply = sim.run_round
     sim.run_round = lambda *args: records.append(apply(*args)) or records[-1]
-    sim.run()
+    for cycle in range(sim.config.total_cycles):
+        sim.run_cycle(cycle)
     assert {record.gate for record in records} == set(Gate)
     assert any(record.outcome is Outcome.SUCCESS for record in records)
 
@@ -953,14 +996,13 @@ def scalar_cycle(sim, cycle, records, cases):
     requesters in ``cases``.  Its metrics row picks each curve's peers by
     behavior, not by id range as ``_metrics_row`` does."""
     config, population, ledger = sim.config, sim.population, sim.ledger
-    population.draw_cycle(cycle, sim.round_index)  # adds the cycle's newcomers
+    population.draw_cycle(cycle)  # adds the cycle's newcomers
     while len(ledger.scores) < population.size:
         ledger.register()
     scores = ledger.scores
     successes = failures = 0
-    for _ in range(config.queries_per_cycle):
-        index = sim.round_index
-        sim.round_index += 1
+    queries = config.queries_per_cycle
+    for index in range(cycle * queries, (cycle + 1) * queries):
         stream = Stream.from_path(config.rng_seed, "round", index)
         requester = randbelow(stream, population.size)
         cases["liar requesters"] += population.behaviors[requester] is Behavior.LIAR
@@ -1185,13 +1227,13 @@ def test_newcomers_join_at_their_cycle():
 def test_newcomer_liars_join_pool_but_not_founder_curves():
     cfg = small_config(total_cycles=4, newcomers=(Injection(1, 3, Behavior.LIAR),))
     sim = Simulation(cfg)
-    series = sim.run()
+    rows = [sim.run_cycle(cycle) for cycle in range(cfg.total_cycles)]
     assert len(sim.population.liar_pool) == 5
     assert sim.population.liar_pool[2:] == [12, 13, 14]  # ids follow the founders
     assert sim.population.newcomer_good_ids == []
     # The liar curve averages the founder liars 10 and 11 only.
     scores = sim.ledger.scores
-    assert series.rows[-1].avg_trust_liar == (scores[10] + scores[11]) / 2
+    assert rows[-1].avg_trust_liar == (scores[10] + scores[11]) / 2
 
 
 def test_liar_pool_stays_in_id_order():
@@ -1205,8 +1247,8 @@ def test_liar_pool_stays_in_id_order():
     for cycle in range(cfg.total_cycles):
         sim.run_cycle(cycle)
         liars = [pid for pid, b in enumerate(population.behaviors) if b is Behavior.LIAR]
-        for requester in liars:
-            assert requester not in play_round(sim, requester).volunteer_ids
+        for requester in liars:  # a round of any index will do
+            assert requester not in play_round(sim, requester, requester).volunteer_ids
         assert population.liar_pool == liars
     assert len(liars) == 7
 
@@ -1232,9 +1274,9 @@ def test_credit_conservation_per_round():
                        threshold=2.0, penalty=4.0)
     sim = Simulation(cfg, event_sink=batches.append)
     rng = random.Random(12)
-    for _ in range(2000):
+    for index in range(2000):
         before = len(batches)
-        record = play_round(sim, rng.randrange(sim.population.size))
+        record = play_round(sim, rng.randrange(sim.population.size), index)
         new = flatten(batches[before:])
         penalties = [e for e in new if e.kind is EventKind.PENALTY]
         credits = len(new) - len(penalties)

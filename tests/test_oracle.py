@@ -195,6 +195,11 @@ def test_mc_validates_inputs():
     for penalty in (-5.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="penalty must be >= 0"):
             mc_liar_payoff(0.9, penalty, 3, trials=2000)
+    # 1e308 gave mc_mean=-inf and verdict=PASS; 1e200 and 1e160 an OverflowError.
+    for p, penalty, j in ((0.9, 1e308, 30), (0.9, 1e200, 30), (0.0, 1e160, 2)):
+        with pytest.raises(ValueError, match="penalty .* is too large"):
+            mc_liar_payoff(p, penalty, j, trials=10_000)
+    assert math.isfinite(mc_liar_payoff(0.9, 1e150, 30, trials=10_000).std_error)
     for j in (30.0, 2.5, True):  # 30.0 used to end in a TypeError from >>
         with pytest.raises(ValueError, match="j must be an integer"):
             mc_liar_payoff(0.9, 10.0, j, trials=2000)
@@ -262,3 +267,6 @@ def test_within_sigmas_bands():
     exact = McResult(mean=1.0, std_error=0.0, trials=100)
     assert within_sigmas(1.0, exact)
     assert not within_sigmas(1.0000001, exact)
+    for mean, std_error in ((-math.inf, math.inf), (1.0, math.inf), (math.nan, 1.0),
+                            (1.0, math.nan)):
+        assert not within_sigmas(1.0, McResult(mean, std_error, 100), sigmas=4.0)
