@@ -179,6 +179,8 @@ class SimConfig:
             value = getattr(self, name)
             if type(value) not in types:
                 raise ConfigError(name, f"must be {kind}, got {value!r}")
+            if float in types and not abs(value) <= sys.float_info.max:  # NaN, ±inf, 10**400
+                raise ConfigError(name, "must be a finite number")
         for injection in self.newcomers:
             if not isinstance(injection, Injection):
                 raise ConfigError("newcomers", f"items must be Injections, got {injection!r}")
@@ -207,9 +209,6 @@ class SimConfig:
             raise ConfigError(
                 "n", "peers would hold the entire catalog; nothing left to request"
             )
-        for name, (_, types, _) in _SIM_FIELDS:
-            if float in types and not math.isfinite(getattr(self, name)):
-                raise ConfigError(name, "must be a finite number")
         if not 0.0 <= self.p <= 1.0:
             raise ConfigError("p", "must be within [0, 1]")
         if self.penalty <= 0.0:
@@ -231,6 +230,8 @@ class SimConfig:
             queries = max(1, self.founder_population // 10)
         if queries < 1:
             raise ConfigError("queries_per_cycle", "must be >= 1")
+        if self.total_cycles * queries > 2**64:  # round streams are indexed modulo 2**64
+            raise ConfigError("total_cycles", "total_cycles * queries_per_cycle must be <= 2**64")
 
         reach = self.reach
         if reach is None:
@@ -310,6 +311,7 @@ class Population:
         self._holdings_prefix = derive_seed(config.rng_seed, "holdings")
         self._round_prefix = derive_seed(config.rng_seed, "round")
         self._pending = sorted(config.newcomers, key=lambda i: i.cycle)
+        self._joined = -math.inf  # the cycle of the last newcomers added
         # Liar-count CDFs by the number of liars the requester leaves in the
         # pool; each built on first use, all dropped when a peer is added.
         self._cdfs: dict[int, tuple[int, list[float]]] = {}
@@ -346,9 +348,13 @@ class Population:
 
     def draw_cycle(self, cycle: int) -> Iterator[DrawnRound]:
         """Add the newcomers due by ``cycle`` now, then return the cycle's
-        rounds (see the module docstring), each drawn when it is reached."""
+        rounds (see the module docstring), each drawn when it is reached.
+        A cycle before newcomers already added raises ``ValueError``."""
+        if cycle < self._joined:
+            raise ValueError(f"cycle {cycle} comes before the newcomers of cycle {self._joined}")
         while self._pending and self._pending[0].cycle <= cycle:
             injection = self._pending.pop(0)
+            self._joined = injection.cycle
             self.add_peers(injection.behavior, injection.count)
         queries = self.config.queries_per_cycle
         return map(self.draw_round, count(cycle * queries),
@@ -479,20 +485,19 @@ def select_server(
 
 
 class Simulation:
-    """One run: applies to its ledger the rounds its population draws, each under its index."""
+    """One run: applies to its ledger the rounds its population draws, each
+    under its index, once one ``register`` call has scored the peers that joined."""
 
     def __init__(self, config: SimConfig, event_sink: EventSink | None = None):
         self.config = config
         self.population = build_population(config)
         self.ledger = TrustLedger(config, event_sink=event_sink)
-        for _ in range(self.population.size):
-            self.ledger.register()
+        self.ledger.register(self.population.size)
 
     def run_cycle(self, cycle: int) -> "MetricsRow":
         """Draw the next cycle, ``cycle``, score its newcomers and apply its rounds as drawn."""
         rounds = self.population.draw_cycle(cycle)
-        while len(self.ledger.scores) < self.population.size:
-            self.ledger.register()
+        self.ledger.register(self.population.size)
         successes = failures = 0
         for drawn in rounds:
             record = self.run_round(drawn)

@@ -18,6 +18,7 @@ here, which the closed forms, ``GameParams`` and the oracle estimators call.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -63,7 +64,7 @@ class GameParams:
         check_penalty(self.penalty)
         for key in ("reward", "cost"):
             _require_real(key, getattr(self, key))
-            if not math.isfinite(getattr(self, key)):
+            if not abs(getattr(self, key)) <= sys.float_info.max:  # NaN, ±inf, 10**400
                 raise ValueError(f"{key} must be a finite number")
         if self.cost <= 0.0:
             raise ValueError("cost must be > 0")
@@ -261,13 +262,15 @@ def check_streak(streak: int) -> None:
 
 def check_penalty(penalty: float) -> None:
     _require_real("penalty", penalty)
-    if not 0.0 <= penalty < math.inf:  # rejects NaN too
+    if not 0.0 <= penalty <= sys.float_info.max:  # rejects NaN and 10**400 too
         raise ValueError("penalty must be >= 0 and finite")
 
 
 def _require_int(key: str, value: int) -> None:
     if type(value) is not int:  # bool too
         raise ValueError(f"{key} must be an integer, got {value!r}")
+    if abs(value) > sys.float_info.max:  # the closed forms compute in floats
+        raise ValueError(f"{key} must be an integer within ±{sys.float_info.max:.1e}")
 
 
 def _require_real(key: str, value: float) -> None:

@@ -3,7 +3,7 @@
 Trust is a raw cumulative sum of events: volunteering earns +1, a failed
 delivery by a selected volunteer costs the configured penalty, and no score
 ever falls below the floor, where every peer starts (so rejoining under a
-fresh identity gains nothing).  ``register()`` appends the next peer.
+fresh identity gains nothing).  ``register(peers)`` scores new peers at once.
 
 Every +1 is a ``credit_many`` (of one id for the selected good server).
 Each ledger call hands the optional event sink one batch, ``(round_index,
@@ -48,8 +48,8 @@ EventSink = Callable[[EventBatch], None]
 class TrustLedger:
     """Single-writer trust scores.
 
-    ``scores[peer_id]`` is the trust of the peer ``register`` gave that
-    id; only the ledger writes it, everyone else reads it.  An id outside
+    ``scores[peer_id]`` is the trust of a peer ``register`` scored at the
+    floor; only the ledger writes it, everyone else reads it.  An id outside
     ``[0, len(scores))`` raises ``UnknownPeerError`` before any score
     changes.  ``config`` is the run's ``SimConfig``, which checks every
     key; the ledger reads its ``penalty`` and ``floor``.  ``event_sink``,
@@ -61,10 +61,9 @@ class TrustLedger:
         self.scores: list[float] = []
         self._event_sink = event_sink
 
-    def register(self) -> int:
-        """Add a peer at the next id, at the floor, and return the id."""
-        self.scores.append(self.config.floor)
-        return len(self.scores) - 1
+    def register(self, peers: int) -> None:
+        """Score ids up to ``peers - 1`` at the floor; none when ``scores`` has that many."""
+        self.scores.extend([self.config.floor] * (peers - len(self.scores)))
 
     # Kept only because perfbench's tracer patches TrustLedger.credit by name.
     def credit(

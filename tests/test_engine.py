@@ -134,7 +134,7 @@ def test_config_validation_names_offending_key():
     reals = [key for key, kind in kinds.items() if kind == "float"]
     assert {"penalty", "floor"} <= set(reals)
     cases += [({key: bad}, key) for key in reals
-              for bad in (math.nan, math.inf, -math.inf, True, "5")]
+              for bad in (math.nan, math.inf, -math.inf, True, "5", 10**400)]
     cases += [({key: bad}, key) for key, kind in kinds.items() if kind == "int"
               for bad in (2.5, True)]
     for overrides, key in cases:
@@ -142,6 +142,15 @@ def test_config_validation_names_offending_key():
             small_config(**overrides)
         assert err.value.key == key, overrides
     small_config(floor=1 - 2**52)  # the floor of largest magnitude
+
+
+def test_schedule_is_bounded_by_2_64_rounds():
+    """Round streams are indexed modulo 2**64, so a longer schedule would
+    repeat them."""
+    small_config(total_cycles=2**63, queries_per_cycle=2)  # exactly 2**64 rounds
+    with pytest.raises(ConfigError) as err:
+        small_config(total_cycles=2**63 + 1, queries_per_cycle=2)
+    assert err.value.key == "total_cycles"
 
 
 def test_config_just_below_the_draw_range_validates():
@@ -632,6 +641,31 @@ def test_each_cycle_is_drawn_by_its_number_alone():
         assert len(applied) == config.queries_per_cycle
 
 
+def test_cycles_cannot_be_drawn_before_newcomers_already_added():
+    """Cycle 3 adds cycle 2's newcomers, so cycle 1 has no in-order run on
+    this population; cycle 2 has, and so has any cycle on a new one."""
+    config = small_config(newcomers=(
+        Injection(2, 2, Behavior.GOOD_SERVER), Injection(4, 3, Behavior.LIAR)))
+    sim = Simulation(config)
+    sim.run_cycle(3)
+    with pytest.raises(ValueError, match="cycle 1 comes before the newcomers of cycle 2"):
+        sim.run_cycle(1)
+    sim.run_cycle(2)
+    assert sim.population.size == 14  # cycle 4's newcomers are not due
+    Simulation(config).run_cycle(1)
+
+
+def test_the_ledger_scores_every_peer_that_joined():
+    config = small_config(total_cycles=6, newcomers=(
+        Injection(4, 2, Behavior.GOOD_SERVER), Injection(2, 3, Behavior.LIAR)))
+    sim = Simulation(config)
+    assert len(sim.ledger.scores) == sim.population.size == 12
+    for cycle in range(config.total_cycles):
+        sim.run_cycle(cycle)
+        assert len(sim.ledger.scores) == sim.population.size, cycle
+    assert sim.population.size == 17
+
+
 def test_liar_count_cdfs_are_built_once_per_liar_count(monkeypatch):
     """Each liar-count CDF is built on first use, at most once between
     population changes, and built again after an injection."""
@@ -997,8 +1031,7 @@ def scalar_cycle(sim, cycle, records, cases):
     behavior, not by id range as ``_metrics_row`` does."""
     config, population, ledger = sim.config, sim.population, sim.ledger
     population.draw_cycle(cycle)  # adds the cycle's newcomers
-    while len(ledger.scores) < population.size:
-        ledger.register()
+    ledger.register(population.size)
     scores = ledger.scores
     successes = failures = 0
     queries = config.queries_per_cycle

@@ -47,10 +47,12 @@ def test_expected_liar_payoff_values():
     assert expected_liar_payoff(1.0, 12345.0, 30) == 1.0
 
 
-@pytest.mark.parametrize("penalty", [-5.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "penalty", [-5.0, math.nan, math.inf, pytest.param(10**400, id="10**400")])
 def test_negative_or_nan_penalty_rejected(penalty):
     # A negative penalty is a reward; NaN passes a plain `penalty < 0` test;
-    # an infinite one makes the payoffs NaN.
+    # an infinite one makes the payoffs NaN; 10**400 passed `< math.inf` and
+    # ended in an OverflowError.
     with pytest.raises(ValueError, match="penalty must be >= 0"):
         liar_round_payoff(penalty, 30)
     with pytest.raises(ValueError, match="penalty must be >= 0"):
@@ -251,6 +253,24 @@ def test_non_number_p_or_penalty_rejected(value):
             call()
 
 
+@pytest.mark.parametrize("huge", [10**400, -10**400], ids=["10**400", "-10**400"])
+def test_integers_beyond_the_float_range_rejected(huge):
+    # The checks took them, and most closed forms then ended in an OverflowError.
+    for key, call in (
+        ("j", lambda: liar_round_payoff(329, huge)),
+        ("j", lambda: penalty_bound_descending(huge, 0.9)),
+        ("j", lambda: penalty_bound_dominance(100, huge, 0.9)),
+        ("j", lambda: escape_probability(huge, 0.9, 5)),
+        ("j", lambda: recommend_threshold(huge, 0.9, 0.01)),
+        ("j", lambda: make_params(j=huge)),
+        ("n", lambda: penalty_bound_dominance(huge, 30, 0.9)),
+        ("n", lambda: make_params(n=huge)),
+        ("streak", lambda: escape_probability(30, 0.9, huge)),
+    ):
+        with pytest.raises(ValueError, match=f"{key} must be an integer within ±1.8e\\+308"):
+            call()
+
+
 @pytest.mark.parametrize("n", [2.5, 100.0, True, "100", None])
 def test_non_integer_n_rejected(n):
     # A fractional n used to give a bound (179.00000000000003 for 2.5).
@@ -275,7 +295,7 @@ def test_game_params_validation():
     # A NaN reward used to build and give NaN requester payoffs, and an
     # infinite cost was rejected as "reward must exceed cost".
     for key in ("reward", "cost"):
-        for bad in (math.nan, math.inf, -math.inf):
+        for bad in (math.nan, math.inf, -math.inf, 10**400):  # 10**400: an OverflowError
             with pytest.raises(ValueError, match=f"{key} must be a finite number"):
                 make_params(**{key: bad})
     # A bool was taken as 1, and a string or None raised a bare TypeError.

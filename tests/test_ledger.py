@@ -26,8 +26,7 @@ def make_ledger(penalty=299.0, floor=0.0, peers=0, **kwargs):
         penalty=penalty, threshold=floor, total_cycles=1, rng_seed=0, floor=floor,
     )
     ledger = TrustLedger(config, **kwargs)
-    for _ in range(peers):
-        ledger.register()
+    ledger.register(peers)
     return ledger
 
 
@@ -80,8 +79,26 @@ def test_credit_many_with_a_bad_id_changes_nothing(peer_ids, with_sink):
 
 def test_register_appends_the_next_id():
     ledger = make_ledger(floor=-2.5)
-    assert [ledger.register() for _ in range(3)] == [0, 1, 2]
+    for peers in (1, 2, 3):
+        ledger.register(peers)
+        assert len(ledger.scores) == peers  # the next id, and no other
     assert ledger.scores == [-2.5, -2.5, -2.5]  # every peer starts at the floor
+
+
+def test_register_scores_ids_below_the_peer_count_at_the_floor():
+    ledger = make_ledger(floor=-2.5, peers=2)
+    ledger.credit_many([0, 1, 1])
+    ledger.register(5)
+    assert ledger.scores == [-1.5, -0.5, -2.5, -2.5, -2.5]
+    for peers in (5, 3, 0, -1):  # as many or fewer: no change
+        ledger.register(peers)
+        assert ledger.scores == [-1.5, -0.5, -2.5, -2.5, -2.5]
+    with pytest.raises(UnknownPeerError):
+        ledger.credit_many([5])
+    with pytest.raises(UnknownPeerError):
+        ledger.penalize(5)
+    ledger.penalize(4)  # the last id registered
+    assert ledger.scores[4] == -2.5
 
 
 def test_credit_kind_cannot_be_penalty():
@@ -164,8 +181,9 @@ def test_replay_of_recorded_events_reproduces_live_scores(penalty, floor, founde
     peers = founders
     for round_index, (name, *args) in enumerate(calls):
         if name == "register":
-            assert ledger.register() == peers
+            ledger.register(peers + 1)
             peers += 1
+            assert len(ledger.scores) == peers and ledger.scores[-1] == floor
         elif name == "credit":
             ledger.credit(args[0] % peers, round_index, args[1])
         elif name == "credit_many":

@@ -192,7 +192,7 @@ def test_mc_validates_inputs():
         mc_liar_payoff(1.2, 10.0, 3, trials=2000)
     with pytest.raises(ValueError):
         mc_liar_payoff(0.9, 10.0, 3, trials=500)  # too few trials
-    for penalty in (-5.0, math.nan, math.inf):
+    for penalty in (-5.0, math.nan, math.inf, 10**400):  # 10**400: an OverflowError
         with pytest.raises(ValueError, match="penalty must be >= 0"):
             mc_liar_payoff(0.9, penalty, 3, trials=2000)
     # 1e308 gave mc_mean=-inf and verdict=PASS; 1e200 and 1e160 an OverflowError.
@@ -209,6 +209,17 @@ def test_mc_validates_inputs():
         mc_escape_frequency(3, 0.5, -1, trials=2000)
     with pytest.raises(ValueError):
         mc_escape_frequency(3, 0.5, 2, trials=10)
+    # Integers beyond the float range fail the estimators' checks as they fail
+    # the closed forms' (which they overflowed); 10**400 trials would never end.
+    for key, call in (
+        ("j", lambda: mc_liar_payoff(0.9, 10.0, 10**400, trials=2000)),
+        ("j", lambda: mc_escape_frequency(10**400, 0.5, 2, trials=2000)),
+        ("streak", lambda: mc_escape_frequency(3, 0.5, 10**400, trials=2000)),
+        ("streak", lambda: enumerate_escape_probability(3, 0.5, 10**400)),
+        ("trials", lambda: mc_escape_frequency(3, 0.5, 2, trials=10**400)),
+    ):
+        with pytest.raises(ValueError, match=f"{key} must be an integer within"):
+            call()
     # 2.5 used to end in a RecursionError, a TypeError and a fractional power.
     for streak in (2.5, True):
         with pytest.raises(ValueError, match="streak must be an integer"):
