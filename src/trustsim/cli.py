@@ -77,22 +77,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
     orc = sub.add_parser("oracle", help="Monte-Carlo validation of the closed forms")
     orc_sub = orc.add_subparsers(dest="oracle_command", required=True)
-    liar = orc_sub.add_parser("liar-payoff", help="per-round liar payoff estimate")
-    liar.add_argument("--p", type=_real, required=True)
-    liar.add_argument("--penalty", type=_real, required=True)
-    liar.add_argument("--j", type=integer, required=True)
-    liar.add_argument("--trials", type=_count, default=1_000_000)
-    liar.add_argument("--seed", type=_seed, default=0)
-    liar.add_argument("--sigmas", type=_positive, default=4.0)
-    liar.set_defaults(handler=_cmd_oracle_liar)
-    escape = orc_sub.add_parser("escape", help="liar escape frequency estimate")
-    escape.add_argument("--j", type=integer, required=True)
-    escape.add_argument("--p", type=_real, required=True)
-    escape.add_argument("--streak", type=integer, required=True)
-    escape.add_argument("--trials", type=_count, default=100_000)
-    escape.add_argument("--seed", type=_seed, default=0)
-    escape.add_argument("--sigmas", type=_positive, default=4.0)
-    escape.set_defaults(handler=_cmd_oracle_escape)
+    # One row per check. Its game inputs are listed in the order that both its
+    # closed form and its estimator take them, ahead of trials and seed.
+    for name, help_text, inputs, trials, closed_form, estimator in (
+        ("liar-payoff", "per-round liar payoff estimate",
+         (("p", _real), ("penalty", _real), ("j", integer)), 1_000_000,
+         game.expected_liar_payoff, oracle.mc_liar_payoff),
+        ("escape", "liar escape frequency estimate",
+         (("j", integer), ("p", _real), ("streak", integer)), 100_000,
+         game.escape_probability, oracle.mc_escape_frequency),
+    ):
+        check = orc_sub.add_parser(name, help=help_text)
+        for key, parse in inputs:
+            check.add_argument(f"--{key}", type=parse, required=True)
+        check.add_argument("--trials", type=_count, default=trials)
+        check.add_argument("--seed", type=_seed, default=0)
+        check.add_argument("--sigmas", type=_positive, default=4.0)
+        check.set_defaults(handler=_cmd_oracle, inputs=[key for key, _ in inputs],
+                           closed_form=closed_form, estimator=estimator)
 
     plot = sub.add_parser("plot", help="render a metrics CSV as an SVG line chart")
     plot.add_argument("csv", help="metrics CSV path")
@@ -263,24 +265,15 @@ def _with_seed_suffix(path: str, seed: int) -> str:
     return os.path.join(directory, name)
 
 
-def _cmd_oracle_liar(args) -> int:
-    expected = game.expected_liar_payoff(args.p, args.penalty, args.j)
-    result = oracle.mc_liar_payoff(args.p, args.penalty, args.j, args.trials, args.seed)
-    return _verdict("liar-payoff", expected, result, args.sigmas)
-
-
-def _cmd_oracle_escape(args) -> int:
-    expected = game.escape_probability(args.j, args.p, args.streak)
-    result = oracle.mc_escape_frequency(args.j, args.p, args.streak, args.trials, args.seed)
-    return _verdict("escape", expected, result, args.sigmas)
-
-
-def _verdict(name: str, expected: float, result, sigmas: float) -> int:
-    ok = oracle.within_sigmas(expected, result, sigmas)
+def _cmd_oracle(args) -> int:
+    inputs = [getattr(args, key) for key in args.inputs]
+    expected = args.closed_form(*inputs)
+    result = args.estimator(*inputs, args.trials, args.seed)
+    ok = oracle.within_sigmas(expected, result, args.sigmas)
     print(
-        f"{name}: closed_form={expected!r} mc_mean={result.mean!r} "
+        f"{args.oracle_command}: closed_form={expected!r} mc_mean={result.mean!r} "
         f"std_error={result.std_error!r} trials={result.trials} "
-        f"sigmas={sigmas:g} verdict={'PASS' if ok else 'FAIL'}"
+        f"sigmas={args.sigmas:g} verdict={'PASS' if ok else 'FAIL'}"
     )
     return EXIT_OK if ok else EXIT_FAIL
 

@@ -259,15 +259,17 @@ def holdings_size(catalog_size: int, n: int) -> int:
 def calibrated_reach(good: int, bad: int, liars: int, n: int) -> int:
     """Reach giving ~``DEFAULT_VOLUNTEER_TARGET`` expected volunteers per query:
     every sampled liar volunteers, a sampled truthful peer does so with
-    probability 1/n."""
-    if n < 1:
-        raise ConfigError("n", "must be >= 1")
+    probability 1/n.  So the rate is at least 1/n, and n below 2**32 (as a
+    catalog's n is) keeps the reach finite."""
+    for key, count in (("good_founders", good), ("bad_founders", bad), ("liar_founders", liars)):
+        if count < 0:
+            raise ConfigError(key, "must be >= 0")
+    if not 1 <= n < MAX_DRAW_RANGE:
+        raise ConfigError("n", "must be within [1, 2**32)")
     population = good + bad + liars
     if population < 2:
         raise ConfigError("reach", "population too small to calibrate reach")
     rate = (liars + (good + bad) / n) / population
-    if rate <= 0.0:
-        raise ConfigError("reach", "no peer can ever volunteer; cannot calibrate")
     return max(1, min(population - 1, round(DEFAULT_VOLUNTEER_TARGET / rate)))
 
 
@@ -390,7 +392,7 @@ class Population:
         ``liar_pool`` is left as it was found.
         """
         pool = self.liar_pool
-        requester_is_liar = self.behaviors[requester_id] is Behavior.LIAR
+        requester_is_liar = not self.behaviors[requester_id].truthful
         liar_limit = len(pool) - 1 if requester_is_liar else len(pool)
         if requester_is_liar:
             # Park the requester at the end of the pool so the sample prefix

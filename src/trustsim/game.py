@@ -140,7 +140,9 @@ def recommended_penalty(j: int, p: float, margin: float = 0.1) -> float:
     penalty is finite and above it (never so for a bound of 0: j = 1, p = 0).
     """
     bound = penalty_bound_descending(j, p)
-    penalty = (1.0 + margin) * bound
+    _require_real("margin", margin)
+    # An int margin beyond the float range would overflow: its penalty is not finite.
+    penalty = (1.0 + margin) * bound if abs(margin) <= sys.float_info.max else math.inf
     if not bound < penalty < math.inf:  # rejects NaN too
         raise ValueError("margin must give a finite penalty strictly above the bound")
     return penalty
@@ -213,6 +215,7 @@ def recommend_threshold(j: int, p: float, epsilon: float) -> int:
     escape_probability(j, p, streak) <= epsilon."""
     check_j(j)
     _require_mixture(p)
+    _require_real("epsilon", epsilon)
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must be within (0, 1]")
     base = (j + p - 1) / j

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass
 
-from .game import _require_int, check_j, check_p, check_penalty, check_streak
+from .game import _require_int, _require_real, check_j, check_p, check_penalty, check_streak
 from .rng import byte_blocks, derive_seed, random_bound, zero_bound
 
 _MIN_TRIALS = 1000
@@ -178,7 +179,10 @@ def _check_run(trials: int, seed: int) -> None:
 def within_sigmas(expected: float, result: McResult, sigmas: float = 4.0) -> bool:
     """True when the estimate lies within ``sigmas`` standard errors of the
     expected value (exact equality required when the spread is zero); never
-    for a non-finite estimate."""
+    for a non-finite estimate.  ``sigmas`` must be >= 0 and finite."""
+    _require_real("sigmas", sigmas)
+    if not 0.0 <= sigmas <= sys.float_info.max:  # rejects NaN and 10**400 too
+        raise ValueError("sigmas must be >= 0 and finite")
     if not (math.isfinite(result.mean) and math.isfinite(result.std_error)):
         return False
     if result.std_error == 0.0:

@@ -589,5 +589,14 @@ def test_plot_rejects_non_finite_reals(tmp_path, capsys, value):
     assert not svg_path.exists()
 
 
+def test_plot_without_a_category_series(tmp_path, capsys):
+    csv_path = tmp_path / "metrics.csv"
+    csv_path.write_text(f"{METRICS_CSV_HEADER}\n0,,,,,1,0\n1,,,,,1,0\n")
+    svg_path = tmp_path / "chart.svg"
+    assert run_cli("plot", str(csv_path), str(svg_path)) == 2
+    assert "error: no category series present" in capsys.readouterr().err
+    assert not svg_path.exists()
+
+
 def test_plot_missing_csv_is_io_error(tmp_path):
     assert run_cli("plot", str(tmp_path / "none.csv"), str(tmp_path / "c.svg")) == 3

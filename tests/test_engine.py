@@ -179,10 +179,18 @@ def test_calibrated_reach_formula():
     assert calibrated_reach(0, 0, 100, 10) == 30
     with pytest.raises(ConfigError):
         calibrated_reach(1, 0, 0, 10)
-    for n in (0, -1):
+    # n = 10**400 met the guard on a rate of 0; 10**308 overflowed the reach.
+    for n in (0, -1, 2**32, 10**308, 10**400):
         with pytest.raises(ConfigError) as err:
             calibrated_reach(2, 0, 0, n)
         assert err.value.key == "n"
+    assert calibrated_reach(2, 0, 0, 2**32 - 1) == 1
+    # These returned 3 and 1.
+    for counts, key in (((-1, 0, 5), "good_founders"), ((5, -3, 0), "bad_founders"),
+                        ((3, 0, -1), "liar_founders")):
+        with pytest.raises(ConfigError) as err:
+            calibrated_reach(*counts, 10)
+        assert err.value.key == key
 
 
 def test_parse_injections():

@@ -95,6 +95,13 @@ def test_recommended_penalty_adds_margin():
             recommended_penalty(30, 0.9, margin=margin)
     with pytest.raises(ValueError, match="margin"):
         recommended_penalty(1, 0.0)  # a bound of 0 stays 0 under any margin
+    # These ended in an OverflowError from 1.0 + margin, and in a TypeError.
+    for margin in (10**400, -(10**400)):
+        with pytest.raises(ValueError, match="margin must give a finite penalty"):
+            recommended_penalty(30, 0.9, margin=margin)
+    for margin in ("0.1", None, True):
+        with pytest.raises(ValueError, match="margin must be a number"):
+            recommended_penalty(30, 0.9, margin=margin)
 
 
 def test_lying_is_dominated_boundary():
@@ -213,6 +220,11 @@ def test_recommend_threshold_rejects_bad_inputs():
         recommend_threshold(30, 0.9, 0.0)
     with pytest.raises(ValueError):
         recommend_threshold(30, 0.9, 1.5)
+    for epsilon in ("x", None, True):  # "x" ended in a TypeError
+        with pytest.raises(ValueError, match="epsilon must be a number"):
+            recommend_threshold(30, 0.9, epsilon)
+    with pytest.raises(ValueError, match="epsilon must be within"):
+        recommend_threshold(30, 0.9, 10**400)
     for j in (0, -5):  # j = 0 used to divide by zero, j = -5 to blame p
         with pytest.raises(ValueError, match="j must be >= 1"):
             recommend_threshold(j, 0.9, 0.01)

@@ -281,3 +281,12 @@ def test_within_sigmas_bands():
     for mean, std_error in ((-math.inf, math.inf), (1.0, math.inf), (math.nan, 1.0),
                             (1.0, math.nan)):
         assert not within_sigmas(1.0, McResult(mean, std_error, 100), sigmas=4.0)
+    assert not within_sigmas(1.0, result, sigmas=0)  # a band of 0 asks for equality
+    # "x" and 10**400 ended in a TypeError and an OverflowError; NaN and a
+    # negative band returned False as if the estimate had missed.
+    for sigmas in ("x", None, True):
+        with pytest.raises(ValueError, match="sigmas must be a number"):
+            within_sigmas(1.0, result, sigmas)
+    for sigmas in (math.nan, -1.0, -4, math.inf, 10**400):
+        with pytest.raises(ValueError, match="sigmas must be >= 0 and finite"):
+            within_sigmas(1.0, result, sigmas)
