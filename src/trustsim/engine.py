@@ -34,25 +34,29 @@ holdings, one per round for all its draws, both from ``rng.round_draws``
 Draw, then apply: a round's stream depends only on the seed and the round
 index; cycle c has rounds c*Q to c*Q + Q - 1, Q being ``queries_per_cycle``.
 ``Population.draw_cycle`` adds a cycle's newcomers and draws its rounds, each
-by ``draw_round`` from one iterator over its stream, in stream order:
-requester, file (redrawn while the requester holds it), volunteers,
-selection.  It reads no trust and, of the config, only draw keys; each round
-carries its index, under which ``Simulation.run_cycle`` applies it.
+by ``draw_round`` from the byte blocks of its stream, read by position in
+stream order: requester, file (redrawn while the requester holds it),
+volunteers, selection.  A block is read only when a read reaches it, and the
+holder scan tests only the draws whose top byte can pass.  It reads no trust
+and, of the config, only draw keys; each round carries its index, under
+which ``Simulation.run_cycle`` applies it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import struct
 import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count, islice
-from typing import Iterator, NamedTuple
+from functools import lru_cache
+from itertools import count
+from typing import Callable, Iterator, NamedTuple
 
-from .game import Selection
+from .game import Selection, _require_int
 from .ledger import EventKind, EventSink, TrustLedger
 from .rng import (BLOCK_WIDTH, RANDOM_SCALE, derive_seed, draw_hypergeom, hypergeom_cdf,
                   round_draws)
@@ -64,6 +68,9 @@ MAX_DRAW_RANGE = 2**32
 # The smallest unsigned array typecode that holds every file id and every
 # peer id (both below MAX_DRAW_RANGE): 4 bytes on common platforms.
 HOLDINGS_TYPECODE = next(code for code in "IL" if array(code).itemsize >= 4)
+# Draw k of a stream's byte blocks: the word at byte 16 * k (the rng module docstring).
+_WORD = struct.Struct("<Q").unpack_from
+_PAIR = struct.Struct("<Q8xQ").unpack_from
 # A drawn round: index, requester, file, volunteers, mode draw, pick draw.
 DrawnRound = tuple[int, int, int, list[int], int, int]
 
@@ -260,8 +267,10 @@ def calibrated_reach(good: int, bad: int, liars: int, n: int) -> int:
     """Reach giving ~``DEFAULT_VOLUNTEER_TARGET`` expected volunteers per query:
     every sampled liar volunteers, a sampled truthful peer does so with
     probability 1/n.  So the rate is at least 1/n, and n below 2**32 (as a
-    catalog's n is) keeps the reach finite."""
+    catalog's n is) keeps the reach finite.  Each count must be an int (a
+    bool is none), and the population below 2**32, as in a ``SimConfig``."""
     for key, count in (("good_founders", good), ("bad_founders", bad), ("liar_founders", liars)):
+        _require_int(key, count)
         if count < 0:
             raise ConfigError(key, "must be >= 0")
     if not 1 <= n < MAX_DRAW_RANGE:
@@ -269,6 +278,8 @@ def calibrated_reach(good: int, bad: int, liars: int, n: int) -> int:
     population = good + bad + liars
     if population < 2:
         raise ConfigError("reach", "population too small to calibrate reach")
+    if population >= MAX_DRAW_RANGE:
+        raise ConfigError("good_founders", "founders must number below 2**32")
     rate = (liars + (good + bad) / n) / population
     return max(1, min(population - 1, round(DEFAULT_VOLUNTEER_TARGET / rate)))
 
@@ -290,6 +301,22 @@ class RoundRecord(NamedTuple):
     selected_id: int | None = None
     outcome: Outcome | None = None
     penalty_delta: float = 0.0
+
+
+# Read counts: the holdings size, and a liar sample's size, which spreads over
+# a few dozen counts around its mean.  A reader of n draws takes about 40n
+# bytes, so only the most recent few are kept.
+@lru_cache(maxsize=32)
+def _reader(count: int) -> Callable[..., tuple[int, ...]]:
+    """Unpacks ``count`` draws, from a byte offset of a stream's byte blocks on."""
+    return struct.Struct("<" + "Q8x" * count).unpack_from
+
+
+@lru_cache(maxsize=None)  # top < 256
+def _marking(top: int) -> bytes:
+    """The ``bytes.translate`` table that maps a byte to 1 if it is at most
+    ``top``, else to 0."""
+    return bytes(byte <= top for byte in range(256))
 
 
 class Population:
@@ -329,13 +356,21 @@ class Population:
                                  min(size, BLOCK_WIDTH), size):
             self.add_peer(behavior, draws)
 
-    def add_peer(self, behavior: Behavior, draws: Iterator[int]) -> int:
-        """Add one peer, its holdings drawn from ``draws``, its holdings stream."""
+    def add_peer(self, behavior: Behavior, draws: Iterator[bytes]) -> int:
+        """Add one peer, its holdings drawn from ``draws``, the byte blocks of
+        its holdings stream."""
         peer_id = len(self.behaviors)
         size, catalog = self.holdings_size, self.config.catalog_size
-        files = {(u * catalog) >> 64 for u in islice(draws, size)}
+        buf = next(draws)
+        while len(buf) < 16 * size:
+            buf += next(draws)
+        files = {(u * catalog) >> 64 for u in _reader(size)(buf)}
+        pos = size
         while len(files) < size:  # a repeat: draw on
-            files.add((next(draws) * catalog) >> 64)
+            if len(buf) <= 16 * pos:
+                buf += next(draws)
+            files.add((_WORD(buf, 16 * pos)[0] * catalog) >> 64)
+            pos += 1
         self.behaviors.append(behavior)
         self.holdings.extend(sorted(files))
         if behavior.truthful:
@@ -362,25 +397,39 @@ class Population:
         return map(self.draw_round, count(cycle * queries),
                    round_draws(self._round_prefix, cycle * queries, queries))
 
-    def draw_round(self, index: int, draws: Iterator[int]) -> DrawnRound:
+    def draw_round(self, index: int, blocks: Iterator[bytes]) -> DrawnRound:
         """Round ``index``: its requester, file, volunteers and two selection
-        draws, taken in order from ``draws``, the round's stream outputs."""
-        requester_id = (next(draws) * self.size) >> 64  # a draw below size
+        draws, read in order from ``blocks``, the byte blocks of the round's
+        stream.  Draw ``k`` is the word at byte ``16 * k`` of their
+        concatenation, which is read into a buffer one block at a time, when
+        a read runs past its end."""
+        buf = bytearray(next(blocks))
+        requester_id = (_WORD(buf, 0)[0] * len(self.behaviors)) >> 64  # a draw below size
         holdings = self.holdings
         lo = requester_id * self.holdings_size
         hi = lo + self.holdings_size
         catalog = self.config.catalog_size
-        for u in draws:
-            file_id = (u * catalog) >> 64  # a draw below catalog
+        pos = 1
+        while True:
+            if len(buf) <= 16 * pos:
+                buf += next(blocks)
+            file_id = (_WORD(buf, 16 * pos)[0] * catalog) >> 64  # a draw below catalog
+            pos += 1
             i = bisect_left(holdings, file_id, lo, hi)  # the requester's files are sorted
             if i == hi or holdings[i] != file_id:  # not held
                 break
-        volunteers = self.volunteers(draws, requester_id, file_id)
-        return index, requester_id, file_id, volunteers, next(draws), next(draws)
+        volunteers, pos = self.volunteers(buf, pos, blocks, requester_id, file_id)
+        while len(buf) < 16 * (pos + 2):
+            buf += next(blocks)
+        mode, pick = _PAIR(buf, 16 * pos)
+        return index, requester_id, file_id, volunteers, mode, pick
 
-    def volunteers(self, draws: Iterator[int], requester_id: int, file_id: int) -> list[int]:
-        """Draw one query's volunteer set, taking from ``draws`` (raw 64-bit
-        stream outputs) the draws it uses and no more.
+    def volunteers(self, buf: bytearray, pos: int, blocks: Iterator[bytes],
+                   requester_id: int, file_id: int) -> tuple[list[int], int]:
+        """Draw one query's volunteer set from draw ``pos`` of a round on, and
+        return it with the position after the last draw it used.  ``buf``
+        holds the round's draws read so far and is extended in place by the
+        next of ``blocks`` when a read runs past its end (see ``draw_round``).
 
         Equivalent in distribution to sampling ``reach`` of the other peers
         uniformly without replacement and keeping all liars plus truthful
@@ -398,50 +447,65 @@ class Population:
             # Park the requester at the end of the pool so the sample prefix
             # never contains it; undone below.  The pool is in id order, as
             # add_peer appends rising ids and every swap is undone.
-            pos = bisect_left(pool, requester_id)
-            pool[pos], pool[liar_limit] = pool[liar_limit], pool[pos]
+            where = bisect_left(pool, requester_id)
+            pool[where], pool[liar_limit] = pool[liar_limit], pool[where]
         liar_draws = 0
         if liar_limit > 0:
             cdf = self._cdfs.get(liar_limit)
             if cdf is None:
                 cdf = self._cdfs[liar_limit] = hypergeom_cdf(
                     self.size - 1, liar_limit, self.config.reach)
-            liar_draws = draw_hypergeom(cdf, (next(draws) >> 11) * RANDOM_SCALE)
+            if len(buf) <= 16 * pos:
+                buf += next(blocks)
+            liar_draws = draw_hypergeom(cdf, (_WORD(buf, 16 * pos)[0] >> 11) * RANDOM_SCALE)
+            pos += 1
 
         # Partial Fisher-Yates: swap i with ks[i] = i + a draw below liar_limit
         # - i; the swaps are undone in reverse so the pool is left as it was.
+        while len(buf) < 16 * (pos + liar_draws):
+            buf += next(blocks)
         ks = []
-        for i, u in zip(range(liar_draws), draws):
+        for i, u in enumerate(_reader(liar_draws)(buf, 16 * pos)):
             k = i + ((u * (liar_limit - i)) >> 64)
             pool[i], pool[k] = pool[k], pool[i]
             ks.append(k)
+        pos += liar_draws
         volunteers = pool[:liar_draws]
         for i in range(liar_draws - 1, -1, -1):
             k = ks[i]
             pool[i], pool[k] = pool[k], pool[i]
         if requester_is_liar:
-            pool[pos], pool[liar_limit] = pool[liar_limit], pool[pos]
+            pool[where], pool[liar_limit] = pool[liar_limit], pool[where]
 
         # Truthful holders: each is in the sample's remaining slots with the
         # exact conditional probability given how many slots are left among
-        # the non-liar peers.  One draw per holder scanned, by position: zip
-        # takes a draw only for a holder it reaches, only an accepted holder's
-        # id is read, and no holder is scanned once the slots run out.
+        # the non-liar peers.  Holder j takes draw pos + j; the scan stops
+        # once the slots run out, and only an accepted holder's id is read.
         slots = self.config.reach - liar_draws
-        available = self.size - 1 - liar_limit
+        available = len(self.behaviors) - 1 - liar_limit
         scale = RANDOM_SCALE
         holders = self.holders_by_file[file_id] if slots else ()
+        end = pos + len(holders)
+        while len(buf) < 16 * end:  # one translate reads every holder's top byte
+            buf += next(blocks)
         # Integer pre-filter; the float test still decides.  It accepts only if
         # (u >> 11) * (available - j) < slots * 2**53, slots only falls, and
         # available - j >= this denominator >= 1 (holders: non-liars, not the requester).
         bound = -(-(slots << 53) // (available - len(holders) + 1)) << 11
-        for j, u in zip(range(len(holders)), draws):
+        # A draw below bound has a top byte at most bound's: mark those and
+        # jump from mark to mark, over the draws that cannot pass.
+        top = bound >> 56 if bound < 1 << 64 else 255
+        marks = buf[16 * pos + 7:16 * end:16].translate(_marking(top))
+        j = marks.find(1)
+        while j >= 0:
+            u = _WORD(buf, 16 * (pos + j))[0]
             if u < bound and (u >> 11) * scale * (available - j) < slots:  # random() * available
                 volunteers.append(holders[j])
                 slots -= 1
                 if not slots:
-                    break
-        return volunteers
+                    return volunteers, pos + j + 1
+            j = marks.find(1, j + 1)
+        return volunteers, end
 
 
 def build_population(config: SimConfig) -> Population:

@@ -44,22 +44,24 @@ scheme can be reimplemented exactly:
   half of another lane.  The last xor-shift needs no cut, because only low
   halves are read.  The block is ``int.to_bytes`` of the result: output
   ``i`` is the little-endian word at byte ``16 * i``, and its top byte is
-  byte ``16 * i + 7``.  ``_blocks`` unpacks the same bytes into ints, one
-  tuple per block.
+  byte ``16 * i + 7``.  The other 8 bytes of each lane are not outputs.
 * Round draws: ``round_draws(prefix, start, count, width, tail)`` gives
-  one iterator over the outputs of each path ``(*path, start + i)``, ``i <
-  count``, ``BLOCK_GROUP`` paths per pass.  For ``prefix =
+  one iterator of byte blocks over the outputs of each path ``(*path,
+  start + i)``, ``i < count``, ``BLOCK_GROUP`` paths per pass; in the
+  blocks of a stream laid end to end, output ``k`` is the word at byte
+  ``16 * k``, as in one block.  For ``prefix =
   derive_seed(master, *path)``, one lane pass derives the states as
   ``mix64(prefix XOR mix64((start + i + GOLDEN) mod 2**64))``, ``start +
   i`` in lane ``i``.  A second applies the block rule to every state at
   once, for its first ``width`` outputs (``BLOCK_WIDTH`` for a round):
   state ``g`` fills lanes ``g * width`` to ``(g + 1) * width - 1``, built
   from the bytes of its 128-bit lane repeated (no multiply), plus the lane
-  steps ``(k + 1) * GOLDEN`` in lane ``k`` of each state's lanes.  Tail
-  rule: output ``k >= width`` of a stream is output ``k - width`` of
-  ``Stream(state + width * GOLDEN)``, from ``_blocks`` in blocks of
+  steps ``(k + 1) * GOLDEN`` in lane ``k`` of each state's lanes.  A
+  stream's first block is its ``width``-lane slice of that pass's bytes.
+  Tail rule: output ``k >= width`` of a stream is output ``k - width`` of
+  ``Stream(state + width * GOLDEN)``, from ``byte_blocks`` in blocks of
   ``tail`` (``TAIL_BLOCK`` for a round; at most ``_MAX_LANES``), each made
-  only when the iterator reaches it: most streams never call ``_blocks``.
+  only when the iterator reaches it: most streams make none.
 * Holdings: peer ``i`` draws from the stream of path ``("holdings", i)``,
   from ``round_draws(derive_seed(master, "holdings"), first, count,
   min(h, BLOCK_WIDTH), h)`` for peers ``first`` to ``first + count - 1``
@@ -75,7 +77,6 @@ import struct
 from bisect import bisect_left
 from collections.abc import Iterator
 from functools import cache
-from itertools import chain
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -171,15 +172,16 @@ def derive_seed(master_seed: int, *path: int | str) -> int:
 
 
 def round_draws(prefix: int, start: int, count: int, width: int = BLOCK_WIDTH,
-                tail: int = TAIL_BLOCK) -> Iterator[Iterator[int]]:
+                tail: int = TAIL_BLOCK) -> Iterator[Iterator[bytes]]:
     """The outputs of ``Stream(derive_seed(master, *path, start + i))``,
-    ``i < count``, one iterator per stream, for ``prefix =
-    derive_seed(master, *path)``: the first ``width`` from the lane pass,
-    then blocks of ``tail`` (see the module docstring).  Each iterator is
-    made when it is reached, and its tail blocks when it is read past them."""
+    ``i < count``, one iterator of byte blocks per stream, for ``prefix =
+    derive_seed(master, *path)``: the first block of ``width`` outputs from
+    the lane pass, then blocks of ``tail`` (see the module docstring).  Each
+    iterator is made when it is reached, and its tail blocks when it is read
+    past them."""
     if count < 0 or width < 1 or tail < 1:
         raise ValueError("round_draws requires count >= 0, width >= 1 and tail >= 1")
-    reader = _lanes(width)[0]
+    size = 16 * width
     group_steps, group_mask = _group(width)
     skip, tail = width * _GOLDEN, min(tail, _MAX_LANES)
     for first in range(start, start + count, BLOCK_GROUP):
@@ -188,20 +190,19 @@ def round_draws(prefix: int, start: int, count: int, width: int = BLOCK_WIDTH,
         z = ((first + _GOLDEN) * ones + (_INDEX & mask)) & mask  # lane i: first + i + GOLDEN
         z = _mix_lanes((_mix_lanes(z, mask) & mask) ^ (prefix * ones), mask)
         states = state_reader.unpack(z.to_bytes(state_reader.size, "little"))
-        cut = 8 * reader.size * (BLOCK_GROUP - lanes)  # the lanes of absent states
+        cut = 8 * size * (BLOCK_GROUP - lanes)  # the lanes of absent states
         packed = b"".join([state.to_bytes(16, "little") * width for state in states])
         mask = group_mask >> cut
         z = _mix_lanes((int.from_bytes(packed, "little") + (group_steps >> cut)) & mask, mask)
-        buf = z.to_bytes(reader.size * lanes, "little")
+        buf = z.to_bytes(size * lanes, "little")
         for g, state in enumerate(states):
-            yield chain.from_iterable(
-                _continued(reader.unpack_from(buf, g * reader.size), state + skip, tail))
+            yield _stream_blocks(buf[g * size:(g + 1) * size], state + skip, tail)
 
 
-def _continued(first: tuple[int, ...], state: int, width: int) -> Iterator[tuple[int, ...]]:
+def _stream_blocks(first: bytes, state: int, width: int) -> Iterator[bytes]:
     """``first``, then the blocks of ``Stream(state)``, made only when reached."""
     yield first
-    yield from _blocks(state, width)
+    yield from byte_blocks(state, width)
 
 
 def byte_blocks(state: int, width: int) -> Iterator[bytes]:
@@ -212,11 +213,6 @@ def byte_blocks(state: int, width: int) -> Iterator[bytes]:
     while True:
         yield _mix_lanes((state * ones + steps) & mask, mask).to_bytes(16 * width, "little")
         state = (state + width * _GOLDEN) & _MASK64
-
-
-def _blocks(state: int, width: int) -> Iterator[tuple[int, ...]]:
-    """The outputs of ``Stream(state)`` in blocks of ``width`` lanes."""
-    return map(_lanes(width)[0].unpack, byte_blocks(state, width))
 
 
 class Stream:

@@ -6,6 +6,8 @@ from typing import NamedTuple
 from trustsim.ledger import EventKind
 from trustsim.rng import Stream
 
+MASK64 = 2**64 - 1
+
 
 def uniform(u):
     """The float in [0, 1) that ``random()`` makes from the output ``u``."""
@@ -15,6 +17,29 @@ def uniform(u):
 def below(u, n):
     """The multiply-shift draw below ``n`` that the output ``u`` gives."""
     return (u * n) >> 64
+
+
+def word_blocks(stream, first=1, tail=1):
+    """The outputs of ``stream`` as the byte blocks of a stream from
+    ``rng.round_draws``: ``first`` outputs, then ``tail`` at a time, each
+    taken from ``stream`` when its block is made.  Output i is the
+    little-endian word at byte 16 * i; the other 8 bytes of its lane, which
+    no reader may use, hold its complement."""
+    width = first
+    while True:
+        yield b"".join(u.to_bytes(8, "little") + (u ^ MASK64).to_bytes(8, "little")
+                       for u in (stream.next_u64() for _ in range(width)))
+        width = tail
+
+
+def block_words(block):
+    """The outputs in a byte block: the word at every 16th byte."""
+    return [int.from_bytes(block[i:i + 8], "little") for i in range(0, len(block), 16)]
+
+
+def stream_words(blocks):
+    """The outputs of a stream given as byte blocks, one at a time."""
+    return chain.from_iterable(map(block_words, blocks))
 
 
 def u64s(stream, count):
@@ -63,7 +88,8 @@ def play_round(sim, requester, index):
     from its start."""
     first = -(-(requester << 64) // sim.population.size)
     stream = Stream.from_path(sim.config.rng_seed, "round", index)
-    drawn = sim.population.draw_round(index, chain([first], iter(stream.next_u64, None)))
+    draws = ListStream(chain([first], iter(stream.next_u64, None)))
+    drawn = sim.population.draw_round(index, word_blocks(draws))
     return sim.run_round(drawn)
 
 

@@ -72,6 +72,19 @@ TRACE_RUN = dict(
     total_cycles=30, newcomers="10:5:good,15:3:liar", rng_seed=7,
 )
 TRACE_SHA256 = "80a28207ad5f5d0d91f7a58bbfed18f854f316cca1e66e28461639162ee380ea"
+# A run whose rounds all read past their first BLOCK_WIDTH draws, and about
+# one in five past their first tail block too: 212-235 truthful holders per
+# file, and newcomers of every behavior each cycle.  Its metrics and trace
+# CSVs are pinned as above.
+TAIL_RUN = dict(
+    good_founders=400, bad_founders=50, liar_founders=30, catalog_size=12,
+    n=2, p=0.8, penalty=9.0, threshold=3.0, reach=150, queries_per_cycle=20,
+    total_cycles=12, rng_seed=5,
+    newcomers=",".join(f"{cycle}:{2 + cycle % 3}:{('good', 'liar', 'bad')[cycle % 3]}"
+                       for cycle in range(12)),
+)
+TAIL_METRICS_SHA256 = "eb646111f3041d403ba9426a788c2cc4b7149f4d376ba61f9037fca34a8e5f12"
+TAIL_TRACE_SHA256 = "7e9c6a99e2485649bf7cf882d0740d164cb798e5c8355f9164572be8c7c30f81"
 
 
 @contextmanager
@@ -261,13 +274,22 @@ def test_criterion_8_determinism(desk, tmp_path):
         assert desk["bytes_b"] != desk["bytes_a"]
         _assert_desk_shape(desk["series_b"])
 
-        config = tmp_path / "trace.cfg"
-        trace = tmp_path / "trace.csv"
-        lines = [f"{key} = {value}" for key, value in TRACE_RUN.items()]
-        lines += [f"metrics_csv = {tmp_path / 'metrics.csv'}", f"trace_csv = {trace}"]
-        config.write_text("\n".join(lines) + "\n")
-        assert cli_main(["simulate", str(config)]) == 0
-        assert hashlib.sha256(trace.read_bytes()).hexdigest() == TRACE_SHA256
+        _, trace = _simulate(tmp_path, "trace", TRACE_RUN)
+        assert hashlib.sha256(trace).hexdigest() == TRACE_SHA256
+        metrics, trace = _simulate(tmp_path, "tail", TAIL_RUN)
+        assert hashlib.sha256(metrics).hexdigest() == TAIL_METRICS_SHA256
+        assert hashlib.sha256(trace).hexdigest() == TAIL_TRACE_SHA256
+
+
+def _simulate(tmp_path, name: str, run: dict) -> tuple[bytes, bytes]:
+    """The metrics and trace CSVs that ``trustsim simulate`` writes for ``run``."""
+    config = tmp_path / f"{name}.cfg"
+    metrics, trace = tmp_path / f"{name}_metrics.csv", tmp_path / f"{name}_trace.csv"
+    lines = [f"{key} = {value}" for key, value in run.items()]
+    lines += [f"metrics_csv = {metrics}", f"trace_csv = {trace}"]
+    config.write_text("\n".join(lines) + "\n")
+    assert cli_main(["simulate", str(config)]) == 0
+    return metrics.read_bytes(), trace.read_bytes()
 
 
 def test_criterion_9_ledger_invariants_randomized():

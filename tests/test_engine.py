@@ -41,7 +41,7 @@ from trustsim.rng import (
 )
 
 from helpers import (ListStream, flatten, holdings_of, play_round, randbelow, scalar_holdings,
-                     u64s, uniform)
+                     u64s, uniform, word_blocks)
 
 
 def small_config(**overrides):
@@ -191,6 +191,17 @@ def test_calibrated_reach_formula():
         with pytest.raises(ConfigError) as err:
             calibrated_reach(*counts, 10)
         assert err.value.key == key
+    # These returned the float 1.5 and 1, and raised OverflowError.
+    for counts, key in (((2.5, 0, 0), "good_founders"), ((True, True, 0), "good_founders"),
+                        ((5, False, 1), "bad_founders"), ((3, 0, 2.0), "liar_founders"),
+                        ((10**400, 0, 0), "good_founders")):
+        with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+            calibrated_reach(*counts, 10)
+    for counts in ((2**32, 0, 0), (2**31, 2**31, 0), (2**32 - 2, 1, 1), (0, 0, 2**40)):
+        with pytest.raises(ConfigError) as err:
+            calibrated_reach(*counts, 10)
+        assert err.value.key == "good_founders"
+    assert calibrated_reach(2**32 - 3, 1, 1, 1) == 30
 
 
 def test_parse_injections():
@@ -277,16 +288,17 @@ def test_holdings_equal_scalar_reference(case):
     truthful ones in id order.  A catalog one file above the size draws
     past the first block of some peer."""
     size, config = case
-    blocks = rng._blocks
+    blocks = rng.byte_blocks
     tails = []
 
     def counting_blocks(state, width):
-        tails.append(width)
-        return blocks(state, width)
+        for block in blocks(state, width):
+            tails.append(width)
+            yield block
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "holdings_size", lambda catalog, n: size)
-        patch.setattr(rng, "_blocks", counting_blocks)
+        patch.setattr(rng, "byte_blocks", counting_blocks)
         population = build_population(config)
         population.draw_cycle(len(config.newcomers))  # adds every newcomer
     assert population.size == config.founder_population + sum(i.count for i in config.newcomers)
@@ -532,7 +544,8 @@ def test_file_redraw_at_the_holdings_edges():
     file is taken.  The requester draw's first and last outputs give peers
     0 and ``size - 1``, never a peer outside the ids.  The requester, the
     file and the draws used match a scalar loop over a set of the
-    holdings."""
+    holdings: the mode and pick draws are the two after the last one
+    used."""
     catalog = 8
     sim = Simulation(small_config(good_founders=3, bad_founders=0, liar_founders=1,
                                   catalog_size=catalog, n=4, reach=2))
@@ -567,9 +580,8 @@ def test_file_redraw_at_the_holdings_edges():
         expected = (index, requester, file_id,
                     scalar_volunteers(sim.population, stream, requester, file_id),
                     stream.next_u64(), stream.next_u64())
-        remaining = iter(draws)
-        assert sim.population.draw_round(index, remaining) == expected, (first, file_draws)
-        assert next(remaining) == stream.next_u64()  # the same draws were used
+        blocks = word_blocks(ListStream(draws))
+        assert sim.population.draw_round(index, blocks) == expected, (first, file_draws)
 
 
 class DrawKeysOnly:
@@ -702,9 +714,24 @@ def test_liar_count_cdfs_are_built_once_per_liar_count(monkeypatch):
 
 
 def draw_volunteers(population, stream, requester, file_id):
-    """``Population.volunteers`` with the draws of ``stream`` from its state
-    on; the stream then moves past the draws used, as scalar draws would."""
-    return population.volunteers(iter(stream.next_u64, None), requester, file_id)
+    """``Population.volunteers`` from draw 0 of the outputs of ``stream``,
+    one per byte block: the volunteers and the position after the last
+    draw used.  ``stream`` moves past the draws read."""
+    return population.volunteers(bytearray(), 0, word_blocks(stream), requester, file_id)
+
+
+class Counted:
+    """``stream``, counting the outputs taken from it in ``used``."""
+
+    def __init__(self, stream):
+        self.stream, self.used = stream, 0
+
+    def next_u64(self):
+        self.used += 1
+        return self.stream.next_u64()
+
+    def random(self):
+        return uniform(self.next_u64())
 
 
 def test_truthful_volunteers_always_hold_the_file():
@@ -774,7 +801,7 @@ def test_volunteer_draw_matches_reference():
     fast_liar_counts: dict[int, int] = {}
     stream = Stream.from_path(99, "fast")
     for _ in range(trials):
-        volunteers = draw_volunteers(sim.population, stream, requester, file_id)
+        volunteers, _ = draw_volunteers(sim.population, stream, requester, file_id)
         liars = 0
         for pid in volunteers:
             fast_counts[pid] = fast_counts.get(pid, 0) + 1
@@ -817,7 +844,7 @@ def test_volunteer_draw_excludes_liar_requester():
     liar = sim.population.liar_pool[0]
     stream = Stream.from_path(5, "self")
     for _ in range(500):
-        volunteers = draw_volunteers(sim.population, stream, liar, 0)
+        volunteers, _ = draw_volunteers(sim.population, stream, liar, 0)
         assert liar not in volunteers
 
 
@@ -847,7 +874,7 @@ def test_volunteer_draw_properties(case):
     population, requester, file_id, seed = case
     reach = population.config.reach
     pool_before = list(population.liar_pool)
-    volunteers = draw_volunteers(population, Stream.from_path(seed, "prop"), requester, file_id)
+    volunteers, _ = draw_volunteers(population, Stream.from_path(seed, "prop"), requester, file_id)
 
     assert len(set(volunteers)) == len(volunteers) <= reach
     assert requester not in volunteers
@@ -895,10 +922,10 @@ def scalar_volunteers(population, stream, requester_id, file_id):
 @given(volunteer_draws())
 def test_volunteer_draw_equals_scalar_reference(case):
     population, requester, file_id, seed = case
-    block, scalar = Stream.from_path(seed, "prop"), Stream.from_path(seed, "prop")
+    block, scalar = Stream.from_path(seed, "prop"), Counted(Stream.from_path(seed, "prop"))
     expected = scalar_volunteers(population, scalar, requester, file_id)
-    assert draw_volunteers(population, block, requester, file_id) == expected
-    assert block.next_u64() == scalar.next_u64()  # the same draws were used
+    # The same volunteers, from the same draws.
+    assert draw_volunteers(population, block, requester, file_id) == (expected, scalar.used)
 
 
 def test_volunteer_draw_equals_scalar_reference_in_edge_cases():
@@ -914,10 +941,10 @@ def test_volunteer_draw_equals_scalar_reference_in_edge_cases():
             for file_id in set(range(4)).difference(holdings_of(population, requester)):
                 for seed in range(5):
                     block = Stream.from_path(seed, "edge", requester)
-                    scalar = Stream.from_path(seed, "edge", requester)
+                    scalar = Counted(Stream.from_path(seed, "edge", requester))
                     expected = scalar_volunteers(population, scalar, requester, file_id)
-                    got = draw_volunteers(population, block, requester, file_id)
-                    assert got == expected and block.next_u64() == scalar.next_u64()
+                    got, end = draw_volunteers(population, block, requester, file_id)
+                    assert got == expected and end == scalar.used
                     # The scan stopped early: the slots ran out before the
                     # last holder was reached.
                     holders = population.holders_by_file[file_id]
@@ -930,9 +957,9 @@ def test_holder_scan_pre_filter_at_its_bound():
     the largest output the float test accepts there, the smallest it
     rejects, and the integer pre-filter's bound and one below, which is
     tight at the last holder.  Holders after a middle one take the next
-    draws; a scan that ends at the crafted holder leaves the next two draws,
-    the mode and pick draws, untouched.  No liars, so every draw goes to the
-    holders."""
+    draws; a scan that ends at the crafted holder ends its draws there, so
+    the next two draws, the mode and pick draws, are the crafted ones.  No
+    liars, so every draw goes to the holders."""
     top = 2**64 - 1  # rejected wherever slots < available
     mode, pick = 11, 12
     # (slots, holders, position of the crafted draw, available there).  The
@@ -956,9 +983,9 @@ def test_holder_scan_pre_filter_at_its_bound():
             draws = [top] * at + [u, mode, pick] + [top] * count
             stream = ListStream(draws)
             expected = scalar_volunteers(population, stream, 0, file_id)
-            remaining = iter(draws)
-            assert population.volunteers(remaining, 0, file_id) == expected
-            after = [next(remaining), next(remaining)]
+            got, end = draw_volunteers(population, ListStream(draws), 0, file_id)
+            assert got == expected
+            after = draws[end:end + 2]
             assert after == [stream.next_u64(), stream.next_u64()]  # the same draws were used
             accepted = u <= largest
             first = at if accepted else at + 1  # rejected: the next holder takes the mode draw
@@ -997,8 +1024,8 @@ def test_holder_scan_reads_only_accepted_ids():
                 wrapped = Positions(holders)
                 population.holders_by_file[file_id] = wrapped
                 try:
-                    got = draw_volunteers(population, Stream.from_path(seed, "guard", requester),
-                                          requester, file_id)
+                    got, _ = draw_volunteers(population, Stream.from_path(seed, "guard", requester),
+                                             requester, file_id)
                 finally:
                     population.holders_by_file[file_id] = holders
                 assert got == expected
@@ -1007,6 +1034,105 @@ def test_holder_scan_reads_only_accepted_ids():
                 accepted += len(truthful)
                 rejected += bool(holders) and len(truthful) < len(holders)
     assert accepted > 0 and rejected > 0
+
+
+def check_scan(population, draws, requester, file_id):
+    """``Population.volunteers`` on the outputs ``draws``, one per byte
+    block, against ``scalar_volunteers``: the same volunteers, and its
+    draws end where the scalar draws do.  Returns the volunteers."""
+    scalar = Counted(ListStream(draws))
+    expected = scalar_volunteers(population, scalar, requester, file_id)
+    assert draw_volunteers(population, ListStream(draws), requester, file_id) == (
+        expected, scalar.used)
+    return expected
+
+
+def scan_population(good, liars=0, reach=None, holders=None, catalog=24, n=4):
+    """Good founders and ``liars`` liars, and the file that requester 0
+    lacks with the most holders, set to ``holders`` when given."""
+    population = build_population(small_config(
+        good_founders=good, bad_founders=0, liar_founders=liars, catalog_size=catalog, n=n,
+        reach=reach or good + liars - 1))
+    file_id = max(set(range(catalog)).difference(holdings_of(population, 0)),
+                  key=lambda f: len(population.holders_by_file[f]))
+    if holders is not None:
+        population.holders_by_file[file_id] = array(engine.HOLDINGS_TYPECODE, holders)
+    return population, file_id
+
+
+def scan_bound(slots, available, holders):
+    """The holder scan's integer bound (``Population.volunteers``)."""
+    return -(-(slots << 53) // (available - holders + 1)) << 11
+
+
+def test_holder_scan_edge_cases_equal_scalar_reference():
+    """The byte scan marks the draws whose top byte is at most the bound's
+    and tests only those, exactly as one scalar draw per holder does."""
+    pad = u64s(Stream.from_path(3, "pad"), 40)
+    # Ties: draws whose top byte is the bound's, below and at the bound, at
+    # each holder.  No liars, so the draws go to the holders from draw 0.
+    population, file_id = scan_population(41, reach=10, holders=range(1, 9))
+    bound = scan_bound(10, 40, 8)
+    top = bound >> 56
+    assert top << 56 < bound - 1 and (bound - 1) >> 56 == top < 255
+    for tie in (top << 56, bound - 1, bound, (top << 56) | (2**56 - 1)):
+        for at in range(8):
+            draws = [2**64 - 1] * at + [tie] + [2**64 - 1] * (7 - at) + pad
+            check_scan(population, draws, 0, file_id)
+    # A bound of 2**64 or more marks every draw (top byte clamped at 255);
+    # just below it, top byte 255 marks every draw too.  reach = size - 1
+    # samples every peer, so every holder volunteers.
+    for good, holders in ((41, range(1, 41)), (41, [5]), (501, range(1, 401))):
+        population, file_id = scan_population(good, holders=holders)
+        assert scan_bound(good - 1, good - 1, len(holders)) >= 2**64
+        draws = u64s(Stream.from_path(good, "all"), len(holders)) + pad
+        assert check_scan(population, draws, 0, file_id) == list(holders)
+    population, file_id = scan_population(502, reach=500, holders=[1])
+    bound = scan_bound(500, 501, 1)
+    assert bound >> 56 == 255
+    for u in (0, 255 << 56, bound - 1, bound, 2**64 - 1):
+        check_scan(population, [u] + pad, 0, file_id)
+    # Slots that run out partway: each accepted holder takes a slot, and
+    # the draws end at the holder that takes the last one.
+    population, file_id = scan_population(41, reach=3, holders=range(1, 31))
+    for at in (2, 5, 29):
+        draws = [0, 0] + [2**64 - 1] * (at - 2) + [0] + [2**64 - 1] * (29 - at) + pad
+        assert check_scan(population, draws, 0, file_id) == [1, 2, at + 1]
+    # No holders, and no slots: liars fill the whole reach.
+    population, file_id = scan_population(41, holders=[])
+    assert check_scan(population, pad, 0, file_id) == []
+    population, file_id = scan_population(6, liars=5, reach=3)
+    assert population.holders_by_file[file_id]
+    volunteers = check_scan(population, [2**64 - 1] + pad, 0, file_id)  # the most liars
+    assert len(volunteers) == 3 and all(pid in population.liar_pool for pid in volunteers)
+
+
+def test_round_draws_cross_from_the_first_block_into_the_tail():
+    """File redraws and holder scans that run past the first
+    ``BLOCK_WIDTH`` draws into a ``TAIL_BLOCK`` block give the round that
+    one scalar draw at a time does."""
+    population, _ = scan_population(150, liars=10, reach=100, catalog=12, n=2)
+    size, catalog = population.size, 12
+    crossed = 0
+    for seed in range(30):
+        requester = seed % size
+        held = set(holdings_of(population, requester))
+        redraws = []
+        if seed % 3 == 0:  # 63 file draws of held files: the file is draw 64
+            redraws = [-(-(min(held) << 64) // catalog)] * 63
+        first = -(-(requester << 64) // size)
+        draws = [first] + redraws + u64s(Stream.from_path(seed, "cross"), 400)
+        stream = Counted(ListStream(draws))
+        assert randbelow(stream, size) == requester
+        file_id = randbelow(stream, catalog)
+        while file_id in held:
+            file_id = randbelow(stream, catalog)
+        volunteers = scalar_volunteers(population, stream, requester, file_id)
+        crossed += stream.used > BLOCK_WIDTH
+        expected = (seed, requester, file_id, volunteers, stream.next_u64(), stream.next_u64())
+        blocks = word_blocks(ListStream(draws), BLOCK_WIDTH, TAIL_BLOCK)
+        assert population.draw_round(seed, blocks) == expected
+    assert crossed == 30
 
 
 def test_engine_never_calls_trust_ledger_credit(monkeypatch):
@@ -1107,7 +1233,7 @@ def check_run_cycle_against_scalar(config):
     the cases seen, including the tail blocks that rounds of ``run_cycle``
     drew past their first ``BLOCK_WIDTH`` draws."""
     cases = {"file re-draws": 0, "liar requesters": 0, "tail blocks": 0}
-    blocks = rng._blocks
+    blocks = rng.byte_blocks
 
     def counting_blocks(state, width):
         # Newcomers' holdings draw here too, in blocks of the holdings size.
@@ -1121,7 +1247,7 @@ def check_run_cycle_against_scalar(config):
     apply = sim.run_round
     sim.run_round = lambda *args: records.append(apply(*args)) or records[-1]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rng, "_blocks", counting_blocks)
+        patch.setattr(rng, "byte_blocks", counting_blocks)
         rows = [sim.run_cycle(cycle) for cycle in range(config.total_cycles)]
 
     ref_batches = []

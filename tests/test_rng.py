@@ -1,5 +1,5 @@
 import math
-from itertools import chain, islice
+from itertools import islice
 from math import comb
 
 import pytest
@@ -15,6 +15,7 @@ from trustsim.rng import (
     TAIL_BLOCK,
     Stream,
     _lanes,
+    byte_blocks,
     child_seed,
     derive_seed,
     draw_hypergeom,
@@ -24,7 +25,7 @@ from trustsim.rng import (
     zero_bound,
 )
 
-from helpers import below, randbelow, u64s, uniform
+from helpers import below, block_words, randbelow, stream_words, u64s, uniform
 
 
 def test_same_path_same_sequence():
@@ -101,7 +102,7 @@ def test_child_seed_is_one_derivation_step(master, path, index):
 
 def _flat(state: int, block: int):
     """The outputs of ``Stream(state)`` from its blocks of ``block`` lanes."""
-    return chain.from_iterable(rng._blocks(state, block))
+    return stream_words(byte_blocks(state, block))
 
 
 def _check_block(state: int, block: int) -> None:
@@ -137,7 +138,7 @@ def test_block_draws_cover_every_lane_width():
 
 
 def test_block_draws_reject_negative_counts():
-    # A block of 0 would make no draws, and chain.from_iterable would spin.
+    # A block of 0 would make no draws, and a read past it would spin.
     for count, width, tail in ((-1, BLOCK_WIDTH, TAIL_BLOCK), (1, 0, TAIL_BLOCK), (1, 10, 0)):
         with pytest.raises(ValueError):
             next(round_draws(0, 0, count, width, tail))
@@ -154,12 +155,14 @@ ROUND_PATHS = (
 
 
 def _round_streams(seed, start, count, *widths):
-    """Each round's iterator from round_draws (given the first-block and
-    tail widths ``widths``, if any), with the scalar stream it must equal;
-    all iterators are made before any is read."""
+    """Each round's outputs from round_draws (given the first-block and
+    tail widths ``widths``, if any), read one at a time from its byte
+    blocks, with the scalar stream they must equal; all iterators are made
+    before any is read."""
     rounds = list(round_draws(derive_seed(seed, "round"), start, count, *widths))
     assert len(rounds) == count
-    return [(draws, Stream(derive_seed(seed, "round", start + i))) for i, draws in enumerate(rounds)]
+    return [(stream_words(blocks), Stream(derive_seed(seed, "round", start + i)))
+            for i, blocks in enumerate(rounds)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -175,9 +178,14 @@ def test_derived_states_equal_derive_seed(seed, start, count):
 @settings(max_examples=200, deadline=None)
 @given(*ROUND_PATHS)
 def test_first_draws_equal_block_draws_per_state(seed, start, count):
-    for draws, stream in _round_streams(seed, start, count):
-        first = _flat(stream._state, BLOCK_WIDTH)
-        assert list(islice(draws, BLOCK_WIDTH)) == list(islice(first, BLOCK_WIDTH))
+    # A round's first block is one block of BLOCK_WIDTH lanes, whose words
+    # are those of the state's own first block.
+    rounds = round_draws(derive_seed(seed, "round"), start, count)
+    for i, blocks in enumerate(rounds):
+        first = next(blocks)
+        state = derive_seed(seed, "round", start + i)
+        assert len(first) == 16 * BLOCK_WIDTH
+        assert block_words(first) == block_words(next(byte_blocks(state, BLOCK_WIDTH)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -204,23 +212,25 @@ def test_other_widths_continue_the_stream(seed, start, count, width, tail):
 
 def test_first_block_reads_make_no_tail(monkeypatch):
     """A stream read only inside its first block computes no tail block:
-    its tail is made when the stream is read past the first block."""
+    its tail is made when the stream is read past the first block, one
+    block at a time."""
     widths = []
-    blocks = rng._blocks
+    blocks = rng.byte_blocks
 
     def counting_blocks(state, width):
-        widths.append(width)
-        return blocks(state, width)
+        for block in blocks(state, width):
+            widths.append(width)
+            yield block
 
-    monkeypatch.setattr(rng, "_blocks", counting_blocks)
+    monkeypatch.setattr(rng, "byte_blocks", counting_blocks)
     for width in (10, BLOCK_WIDTH):
         streams = list(round_draws(derive_seed(3, "round"), 0, BLOCK_GROUP, width))
         for draws in streams:
-            assert len(list(islice(draws, width))) == width
+            assert len(next(draws)) == 16 * width
     assert widths == []
     draws = next(round_draws(derive_seed(3, "round"), 0, 1, 10, 7))
-    assert len(list(islice(draws, 11))) == 11
-    assert widths == [7]
+    assert [len(block) for block in islice(draws, 3)] == [160, 112, 112]
+    assert widths == [7, 7]
 
 
 def _exact_pmf(total, tagged, draws):
