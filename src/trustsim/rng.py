@@ -130,14 +130,17 @@ def _packed(low_words: list[int]) -> int:
 
 
 @cache
-def _lanes(width: int) -> tuple[struct.Struct, int, int, int]:
-    """The lane reader, ``ONES``, ``STEPS`` and ``MASK`` of ``width`` lanes."""
+def _lanes(width: int) -> tuple[int, int, int]:
+    """``ONES``, ``STEPS`` and ``MASK`` of ``width`` lanes."""
     return (
-        struct.Struct("<" + "Q8x" * width),
         _packed([1] * width),
         _packed([(k * _GOLDEN) & _MASK64 for k in range(1, width + 1)]),
         _packed([_MASK64] * width),
     )
+
+
+# round_draws' state readers: the low halves of n lanes, by n <= BLOCK_GROUP.
+_STATES = [struct.Struct("<" + "Q8x" * n) for n in range(BLOCK_GROUP + 1)]
 
 
 # round_draws: i in lane i.
@@ -186,10 +189,10 @@ def round_draws(prefix: int, start: int, count: int, width: int = BLOCK_WIDTH,
     skip, tail = width * _GOLDEN, min(tail, _MAX_LANES)
     for first in range(start, start + count, BLOCK_GROUP):
         lanes = min(start + count - first, BLOCK_GROUP)
-        state_reader, ones, _, mask = _lanes(lanes)
+        ones, _, mask = _lanes(lanes)
         z = ((first + _GOLDEN) * ones + (_INDEX & mask)) & mask  # lane i: first + i + GOLDEN
         z = _mix_lanes((_mix_lanes(z, mask) & mask) ^ (prefix * ones), mask)
-        states = state_reader.unpack(z.to_bytes(state_reader.size, "little"))
+        states = _STATES[lanes].unpack(z.to_bytes(16 * lanes, "little"))
         cut = 8 * size * (BLOCK_GROUP - lanes)  # the lanes of absent states
         packed = b"".join([state.to_bytes(16, "little") * width for state in states])
         mask = group_mask >> cut
@@ -208,7 +211,7 @@ def _stream_blocks(first: bytes, state: int, width: int) -> Iterator[bytes]:
 def byte_blocks(state: int, width: int) -> Iterator[bytes]:
     """The outputs of ``Stream(state)`` in blocks of ``width`` lanes, each
     block the bytes of its lane int (see the module docstring)."""
-    _, ones, steps, mask = _lanes(width)
+    ones, steps, mask = _lanes(width)
     state &= _MASK64
     while True:
         yield _mix_lanes((state * ones + steps) & mask, mask).to_bytes(16 * width, "little")
@@ -266,7 +269,12 @@ def hypergeom_cdf(total: int, tagged: int, draws: int) -> tuple[int, list[float]
         w *= (k * (total - tagged - draws + k)) / ((tagged - k + 1) * (draws - k + 1))
         weights[k - 1 - kmin] = w
 
-    scale = 1.0 / sum(weights)
+    # Summed left to right, as sum() does before Python 3.12 (which compensates),
+    # so the CDF's floats do not depend on the Python version.
+    mass = 0.0
+    for weight in weights:
+        mass += weight
+    scale = 1.0 / mass
     cdf = []
     acc = 0.0
     for weight in weights:

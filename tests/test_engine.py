@@ -577,9 +577,9 @@ def test_file_redraw_at_the_holdings_edges():
         while file_id in held:
             file_id = randbelow(stream, catalog)
         assert file_id == chosen
-        expected = (index, requester, file_id,
-                    scalar_volunteers(sim.population, stream, requester, file_id),
-                    stream.next_u64(), stream.next_u64())
+        volunteers = scalar_volunteers(sim.population, stream, requester, file_id)
+        expected = (index, requester, file_id, volunteers,
+                    truthful(sim.population, volunteers), stream.next_u64(), stream.next_u64())
         blocks = word_blocks(ListStream(draws))
         assert sim.population.draw_round(index, blocks) == expected, (first, file_draws)
 
@@ -713,11 +713,20 @@ def test_liar_count_cdfs_are_built_once_per_liar_count(monkeypatch):
 # --- volunteer sampling ---
 
 
+def truthful(population, volunteers):
+    """The truthful peers among ``volunteers``, in order: the holders."""
+    return [pid for pid in volunteers if population.behaviors[pid].truthful]
+
+
 def draw_volunteers(population, stream, requester, file_id):
     """``Population.volunteers`` from draw 0 of the outputs of ``stream``,
     one per byte block: the volunteers and the position after the last
-    draw used.  ``stream`` moves past the draws read."""
-    return population.volunteers(bytearray(), 0, word_blocks(stream), requester, file_id)
+    draw used, once the holders it returns are checked to be the
+    volunteers' truthful tail.  ``stream`` moves past the draws read."""
+    volunteers, held, end = population.volunteers(
+        bytearray(), 0, word_blocks(stream), requester, file_id)
+    assert held == truthful(population, volunteers) == volunteers[len(volunteers) - len(held):]
+    return volunteers, end
 
 
 class Counted:
@@ -1129,7 +1138,8 @@ def test_round_draws_cross_from_the_first_block_into_the_tail():
             file_id = randbelow(stream, catalog)
         volunteers = scalar_volunteers(population, stream, requester, file_id)
         crossed += stream.used > BLOCK_WIDTH
-        expected = (seed, requester, file_id, volunteers, stream.next_u64(), stream.next_u64())
+        expected = (seed, requester, file_id, volunteers, truthful(population, volunteers),
+                    stream.next_u64(), stream.next_u64())
         blocks = word_blocks(ListStream(draws), BLOCK_WIDTH, TAIL_BLOCK)
         assert population.draw_round(seed, blocks) == expected
     assert crossed == 30
@@ -1267,7 +1277,9 @@ def check_run_cycle_against_scalar(config):
 @st.composite
 def cycle_configs(draw):
     """Small runs: any mix of founders (zero liars included), newcomers of
-    any behavior, any reach and gate, and cycles of any number of rounds."""
+    any behavior, any reach and gate, cycles of any number of rounds, and
+    floors and penalties that are not integers, so scores and their sums
+    round."""
     good, bad, liars = (draw(st.integers(0, 40)) for _ in range(3))
     if good + bad + liars < 2:
         good += 2
@@ -1276,13 +1288,14 @@ def cycle_configs(draw):
         Injection(draw(st.integers(0, 2)), draw(st.integers(1, 4)), draw(st.sampled_from(Behavior)))
         for _ in range(draw(st.integers(0, 2)))
     )
+    floor = draw(st.sampled_from([0.0, -0.0, 0.1, 2**51 + 0.5]))
     return small_config(
         good_founders=good, bad_founders=bad, liar_founders=liars,
         catalog_size=draw(st.integers(n + 1, 16)), n=n,
         reach=draw(st.integers(1, good + bad + liars - 1)),
         p=draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])),
-        penalty=draw(st.sampled_from([1.0, 3.0, 30.0])),
-        threshold=draw(st.sampled_from([0.0, 1.0, 3.0])),
+        penalty=draw(st.sampled_from([1.0, 3.0, 30.0, 0.1, 1.7, 1e6])),
+        floor=floor, threshold=floor + draw(st.sampled_from([0.0, 1.0, 3.0])),
         queries_per_cycle=draw(st.integers(1, 2 * BLOCK_GROUP + 3)),
         total_cycles=3, newcomers=newcomers, rng_seed=draw(st.integers(0, 2**64 - 1)),
     )
@@ -1315,6 +1328,57 @@ def test_run_cycle_equals_scalar_reference_in_edge_cases():
             seen[case] = seen.get(case, 0) + count
     assert set(seen) == {"file re-draws", "liar requesters", "tail blocks", "zero liars"}
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_metrics_rows_carry_exact_truthful_sums(sparse):
+    """Each row's averages are ``math.fsum`` over each category's scores,
+    by behavior, on either side of the switch between summing the truthful
+    categories in full (many rounds per peer) and carrying their sums (few):
+    with a floor and a penalty that are not integers, good newcomers that
+    join at the floor mid-run, bad and liar newcomers, and holders drawn in
+    more than one round of a cycle."""
+    newcomers = (Injection(2, 5, Behavior.GOOD_SERVER), Injection(4, 3, Behavior.BAD_SERVER),
+                 Injection(5, 4, Behavior.GOOD_SERVER), Injection(7, 2, Behavior.LIAR))
+    if sparse:  # about 24 holders per file, 1.5 accepted per round
+        config = small_config(good_founders=1000, bad_founders=200, liar_founders=20,
+                              catalog_size=100, n=50, reach=75, queries_per_cycle=20)
+    else:
+        config = small_config(queries_per_cycle=30)
+    config = dataclasses.replace(config, floor=0.1, threshold=2.1, penalty=1.7, p=0.7,
+                                 total_cycles=12, newcomers=newcomers)
+    sim = Simulation(config)
+    held = []
+    apply = sim.run_round
+    sim.run_round = lambda drawn: held.extend(drawn[4]) or apply(drawn)
+    scores, behaviors = sim.ledger.scores, sim.population.behaviors
+    founders = config.founder_population
+    repeats = uncredited = 0
+
+    def average(ids):
+        ids = list(ids)
+        return math.fsum(scores[pid] for pid in ids) / len(ids) if ids else None
+
+    for cycle in range(config.total_cycles):
+        del held[:]
+        size = sim.population.size
+        row = sim.run_cycle(cycle)
+        assert (sim._sums is not None) == sparse, cycle
+        repeats += len(held) > len(set(held))
+        uncredited += sum(behaviors[pid] is Behavior.GOOD_SERVER and pid not in held
+                          for pid in range(size, sim.population.size))
+        assert row.avg_trust_good == average(
+            pid for pid in range(founders) if behaviors[pid] is Behavior.GOOD_SERVER)
+        assert row.avg_trust_bad == average(
+            pid for pid in range(founders) if behaviors[pid] is Behavior.BAD_SERVER)
+        assert row.avg_trust_liar == average(
+            pid for pid in range(founders) if behaviors[pid] is Behavior.LIAR)
+        assert row.avg_trust_newcomer_good == average(
+            pid for pid in range(founders, sim.population.size)
+            if behaviors[pid] is Behavior.GOOD_SERVER)
+    assert repeats, "no holder was drawn in two rounds of one cycle"
+    # The carried sums take in every good newcomer, credited or not.
+    assert uncredited or not sparse, "every good newcomer was credited in the cycle it joined"
 
 
 @pytest.mark.parametrize("queries", [5, BLOCK_GROUP + 1, 2 * BLOCK_GROUP + 7])
